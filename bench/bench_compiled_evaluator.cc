@@ -55,11 +55,10 @@ main()
         uint64_t horizon = bench::measureHorizon(bm.name);
         netlist::Netlist nl = bm.build(horizon);
 
-        auto ref =
-            netlist::makeEvaluator(nl, netlist::EvalMode::Reference);
+        netlist::Evaluator ref(nl);
         // The reference engine can be slow enough that the default
         // 2048-cycle chunk overshoots the budget; use a smaller one.
-        double ref_khz = measure(*ref, horizon, 256);
+        double ref_khz = measure(ref, horizon, 256);
 
         netlist::CompiledEvaluator tape(nl);
         double tape_khz = measure(tape, horizon, 2048);

@@ -10,7 +10,7 @@
 
 #include "baseline/baseline.hh"
 #include "bench/common.hh"
-#include "netlist/evaluator.hh"
+#include "netlist/compiled_evaluator.hh"
 
 using namespace manticore;
 
@@ -23,10 +23,7 @@ main()
 
     unsigned max_threads =
         std::min(8u, std::max(2u, std::thread::hardware_concurrency()));
-    std::printf("%8s", "bench");
-    for (netlist::EvalMode mode :
-         {netlist::EvalMode::Reference, netlist::EvalMode::Compiled})
-        std::printf("  %-9s", netlist::evalModeName(mode));
+    std::printf("%8s  %-9s  %-9s", "bench", "reference", "compiled");
     for (unsigned t = 1; t <= max_threads; ++t)
         std::printf("  thr%-5u", t);
     std::printf("\n");
@@ -40,17 +37,17 @@ main()
 
         // Netlist-evaluator baselines (the rates every engine is
         // measured against): reference graph walker vs compiled tape.
-        for (netlist::EvalMode mode :
-             {netlist::EvalMode::Reference, netlist::EvalMode::Compiled}) {
-            auto eval = netlist::makeEvaluator(nl, mode);
-            double khz = bench::measureRateKhz(
-                [&](uint64_t chunk) {
-                    return eval->run(chunk) == netlist::SimStatus::Ok;
+        auto rate = [&](netlist::EvaluatorBase &eval, uint64_t chunk) {
+            return bench::measureRateKhz(
+                [&](uint64_t n) {
+                    return eval.run(n) == netlist::SimStatus::Ok;
                 },
-                horizon - 8, 0.1,
-                mode == netlist::EvalMode::Reference ? 256 : 2048);
-            std::printf("  %-9.1f", khz);
-        }
+                horizon - 8, 0.1, chunk);
+        };
+        netlist::Evaluator ref(nl);
+        std::printf("  %-9.1f", rate(ref, 256));
+        netlist::CompiledEvaluator tape(nl);
+        std::printf("  %-9.1f", rate(tape, 2048));
         double serial_khz = 0.0;
         for (unsigned t = 1; t <= max_threads; ++t) {
             double khz;

@@ -2,10 +2,9 @@
  * @file
  * The unified execution-engine interface.
  *
- * The repository grew five execution engines in three disjoint API
- * families: the netlist evaluators (`netlist::EvaluatorBase` behind
- * `makeEvaluator`), the functional ISA interpreters
- * (`isa::InterpreterBase` behind `makeInterpreter`), and the
+ * The repository grew its execution engines in three disjoint API
+ * families: the netlist evaluators (`netlist::EvaluatorBase`), the
+ * functional ISA interpreters (`isa::InterpreterBase`), and the
  * cycle-level `machine::Machine`.  Every harness — the Simulation
  * cross-checks, the Host attach overloads, each bench's setup — was
  * written once per family.  `engine::Engine` is the one interface all

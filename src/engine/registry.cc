@@ -1,10 +1,9 @@
 #include "engine/registry.hh"
 
 #include "engine/snapshot.hh"
-#include "isa/interpreter.hh"
+#include "isa/tape_interpreter.hh"
 #include "machine/machine.hh"
 #include "netlist/aot.hh"
-#include "netlist/evaluator.hh"
 #include "runtime/host.hh"
 #include "support/logging.hh"
 #include "support/namelist.hh"
@@ -55,8 +54,7 @@ rejectLanes(const std::string &name, unsigned lanes)
 }
 
 /** Wire an ISA-level adapter to its Host and context.  The adapter
- *  must expose interpreter()/machine() global memory already; `setup`
- *  has run makeInterpreter / Machine construction. */
+ *  must expose interpreter()/machine() global memory already. */
 template <typename Adapter>
 std::unique_ptr<Engine>
 finishSelfHosted(std::unique_ptr<Adapter> adapter,
@@ -114,13 +112,16 @@ createIsaLevel(const std::string &name,
         return finishSelfHosted(std::move(adapter), std::move(ctx),
                                 program, global);
     }
-    isa::ExecMode mode;
-    if (name.rfind("isa.", 0) != 0 ||
-        !isa::parseExecMode(name.substr(4), mode))
+    std::unique_ptr<isa::InterpreterBase> interp;
+    if (name == "isa.reference")
+        interp = std::make_unique<isa::Interpreter>(program, config);
+    else if (name == "isa.tape")
+        interp = std::make_unique<isa::TapeInterpreter>(program, config,
+                                                        lanes);
+    else
         unknownEngine(name);
-    auto adapter = std::make_unique<IsaEngine>(
-        name, isa::makeInterpreter(program, config, mode, lanes),
-        std::move(signals));
+    auto adapter = std::make_unique<IsaEngine>(name, std::move(interp),
+                                               std::move(signals));
     // Design identity for snapshots; 0 (= unknown, hash check skipped)
     // on the program-only create() path where no netlist exists.
     adapter->setDesignHash(design_hash);
@@ -130,6 +131,47 @@ createIsaLevel(const std::string &name,
     isa::GlobalMemory &global = adapter->interpreter().globalMemory();
     return finishSelfHosted(std::move(adapter), std::move(ctx), program,
                             global);
+}
+
+/** Strict availability: a caller who asked for an AOT engine by name
+ *  gets an actionable error, not a silent interpreter.  (Direct
+ *  AotEvaluator / AotParallelEvaluator construction degrades
+ *  gracefully instead — see netlist/aot.hh.) */
+void
+requireAotToolchain(const std::string &name,
+                    const netlist::EvalOptions &eval,
+                    const char *fallback)
+{
+    const netlist::AotToolchain &tc =
+        netlist::aotToolchain(eval.aotCompiler);
+    if (!tc.ok)
+        MANTICORE_FATAL(name, " needs a working host C++ compiler: ",
+                        tc.message,
+                        " -- set $MANTICORE_AOT_CXX or "
+                        "EvalOptions::aotCompiler, or use ",
+                        fallback);
+}
+
+std::unique_ptr<netlist::EvaluatorBase>
+createEvaluator(const std::string &name, const netlist::Netlist &nl,
+                const netlist::EvalOptions &eval)
+{
+    if (name == "netlist.reference")
+        return std::make_unique<netlist::Evaluator>(nl);
+    if (name == "netlist.compiled")
+        return std::make_unique<netlist::CompiledEvaluator>(nl, eval);
+    if (name == "netlist.parallel")
+        return std::make_unique<netlist::ParallelCompiledEvaluator>(
+            nl, eval);
+    if (name == "netlist.aot") {
+        requireAotToolchain(name, eval, "netlist.compiled");
+        return std::make_unique<netlist::AotEvaluator>(nl, eval);
+    }
+    if (name == "netlist.parallel.aot") {
+        requireAotToolchain(name, eval, "netlist.parallel");
+        return std::make_unique<netlist::AotParallelEvaluator>(nl, eval);
+    }
+    unknownEngine(name);
 }
 
 } // namespace
@@ -258,21 +300,9 @@ create(const std::string &name, const netlist::Netlist &netlist,
     if (eval.lanes != 1 && !(info->caps & cap::kEnsemble))
         rejectLanes(name, eval.lanes);
 
-    if (info->netlistLevel) {
-        netlist::EvalMode mode;
-        if (name == "netlist.parallel.aot") {
-            // Registry variant, not a distinct EvalMode: the parallel
-            // engine with per-partition compiled objects.
-            mode = netlist::EvalMode::Parallel;
-            eval.aot = true;
-        } else {
-            bool ok = netlist::parseEvalMode(name.substr(8), mode);
-            MANTICORE_ASSERT(ok, "registry/EvalMode name drift for ",
-                             name);
-        }
+    if (info->netlistLevel)
         return std::make_unique<NetlistEngine>(
-            name, netlist::makeEvaluator(netlist, mode, eval), netlist);
-    }
+            name, createEvaluator(name, netlist, eval), netlist);
 
     auto ctx = std::make_shared<ProgramContext>();
     ctx->compiled = compiler::compile(netlist, options.compile);

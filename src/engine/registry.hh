@@ -20,8 +20,9 @@
  * runtime::Host so $display / $finish / assertions work out of the
  * box, and RTL probes go through the compiler's observation map).
  * `create(name, program, config)` skips the compile for callers that
- * already have a binary program.  `makeEvaluator` / `makeInterpreter`
- * remain as thin mode-enum spellings of the same constructions.
+ * already have a binary program.  The registry is the only by-name
+ * construction path; callers that need a concrete class's own API
+ * construct that class directly.
  *
  * Session is the quickstart convenience: a created engine plus the
  * one-call run loop (see README.md).

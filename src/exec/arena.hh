@@ -22,11 +22,9 @@
  * parallel engine aligns every per-process region and register-file
  * owner group so distinct worker threads never write the same line.
  *
- * The arena lived in src/netlist/ until the lane-execution substrate
- * was hoisted out; the layout is engine-family-neutral (the ISA tape
- * interpreter lane-strides its register file the same way), so it
- * lives here now.  src/netlist/arena.hh keeps the old name as an
- * alias.
+ * The layout is engine-family-neutral (the ISA tape interpreter
+ * lane-strides its register file the same way), so it lives in the
+ * shared lane-execution layer rather than src/netlist/.
  */
 
 #ifndef MANTICORE_EXEC_ARENA_HH

@@ -20,8 +20,8 @@
  *    pairs fused.  Bit-identical architectural state, several times
  *    faster (see src/isa/README.md).
  *
- * makeInterpreter() picks an engine at runtime, mirroring
- * netlist::makeEvaluator.  Both are untimed; the machine simulator
+ * engine::create builds either by registry name ("isa.reference",
+ * "isa.tape").  Both are untimed; the machine simulator
  * (src/machine) adds the cycle-level pipeline/NoC/cache model.  All
  * three must produce identical architectural state, which the
  * randomized differential suite checks.
@@ -33,7 +33,6 @@
 #include <array>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -213,29 +212,6 @@ class InterpreterBase
     virtual void restoreLaneState(unsigned lane,
                                   support::ByteReader &r);
 };
-
-/** Which functional engine makeInterpreter() should build. */
-enum class ExecMode
-{
-    Reference, ///< instruction-walking Interpreter (obviously correct)
-    Tape,      ///< flat pre-decoded tape (fast, bit-identical)
-};
-
-const char *execModeName(ExecMode mode);
-
-/** Parse "reference" / "tape" (the execModeName spellings) into an
- *  ExecMode; returns false on anything else. */
-bool parseExecMode(const std::string &name, ExecMode &mode);
-
-/** Build an interpreter over the program in the given mode.  The
- *  program and config must outlive the interpreter (same contract as
- *  the direct constructors).  lanes > 1 requests an N-lane ensemble:
- *  only the tape engine supports it (the reference interpreter is
- *  deliberately kept scalar), and it caps at 16 lanes — both limits
- *  are a loud fatal(). */
-std::unique_ptr<InterpreterBase>
-makeInterpreter(const Program &program, const MachineConfig &config,
-                ExecMode mode, unsigned lanes = 1);
 
 class Interpreter : public InterpreterBase
 {

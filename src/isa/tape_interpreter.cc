@@ -12,47 +12,6 @@ namespace manticore::isa {
 
 namespace ex = exec;
 
-const char *
-execModeName(ExecMode mode)
-{
-    switch (mode) {
-      case ExecMode::Reference: return "reference";
-      case ExecMode::Tape: return "tape";
-    }
-    return "?";
-}
-
-bool
-parseExecMode(const std::string &name, ExecMode &mode)
-{
-    for (ExecMode m : {ExecMode::Reference, ExecMode::Tape}) {
-        if (name == execModeName(m)) {
-            mode = m;
-            return true;
-        }
-    }
-    return false;
-}
-
-std::unique_ptr<InterpreterBase>
-makeInterpreter(const Program &program, const MachineConfig &config,
-                ExecMode mode, unsigned lanes)
-{
-    MANTICORE_ASSERT(lanes >= 1, "lanes must be >= 1");
-    switch (mode) {
-      case ExecMode::Reference:
-        if (lanes != 1)
-            MANTICORE_FATAL("the reference interpreter is scalar-only "
-                            "(lanes=", lanes, " requested); use the "
-                            "tape engine for ensembles");
-        return std::make_unique<Interpreter>(program, config);
-      case ExecMode::Tape:
-        return std::make_unique<TapeInterpreter>(program, config,
-                                                 lanes);
-    }
-    MANTICORE_PANIC("bad ExecMode");
-}
-
 namespace {
 
 /// Base tape opcodes: the ISA minus NOP, in isa::Opcode order.

@@ -110,11 +110,21 @@ readFileAll(const std::string &path)
     return out.str();
 }
 
+/** Suffix for an intermediate file, unique per call rather than per
+ *  process: threads building the same object into one cache dir must
+ *  never write, rename or delete each other's temporaries. */
+std::string
+tmpSuffix()
+{
+    static std::atomic<unsigned long> counter{0};
+    return ".tmp." + std::to_string(static_cast<long>(getpid())) + "." +
+           std::to_string(counter.fetch_add(1, std::memory_order_relaxed));
+}
+
 bool
 writeFileAtomic(const std::string &path, const std::string &content)
 {
-    std::string tmp =
-        path + ".tmp." + std::to_string(static_cast<long>(getpid()));
+    std::string tmp = path + tmpSuffix();
     {
         std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
         if (!out)
@@ -1058,8 +1068,7 @@ AotEvaluator::build(const EvalOptions &options)
     const std::string key_line =
         "\nextern \"C\" const char manticore_aot_key[] = \"" + _key +
         "\";\n";
-    std::string obj_tmp =
-        obj + ".tmp." + std::to_string(static_cast<long>(getpid()));
+    std::string obj_tmp = obj + tmpSuffix();
     EmitSpec spec{_tape.data(), _tape.size(), &_mems, _padded,
                   "manticore_aot_cycle"};
     const size_t chunks = chunkCountOf(_tape.size());
@@ -1314,9 +1323,7 @@ AotParallelEvaluator::buildAll(const EvalOptions &options)
                      _parts[p].key + "\";\n";
         c.src = stem + ".cc";
         c.obj = obj;
-        c.obj_tmp = obj + ".tmp." +
-                    std::to_string(static_cast<long>(getpid())) + "." +
-                    std::to_string(p);
+        c.obj_tmp = obj + tmpSuffix();
         cold.push_back(std::move(c));
     }
 

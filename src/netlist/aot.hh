@@ -70,9 +70,8 @@
  * toolchain probe, the compile or the dlopen fails, the evaluator
  * warns once and falls back to the interpreted tape with identical
  * results (the parallel variant falls back per partition).  The
- * factory/registry path (makeEvaluator / engine::create) is strict
- * instead: a caller who asked for AOT by name gets a fatal naming
- * the probed toolchain.
+ * registry path (engine::create) is strict instead: a caller who
+ * asked for AOT by name gets a fatal naming the probed toolchain.
  *
  * Env knobs: $MANTICORE_AOT_CXX (compiler override),
  * $MANTICORE_AOT_CACHE (cache dir), $MANTICORE_AOT_INCLUDE (where

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "netlist/aot.hh"
-#include "netlist/parallel_evaluator.hh"
 #include "support/limbops.hh"
 #include "support/logging.hh"
 
@@ -448,31 +446,6 @@ CompiledEvaluator::nodeValue(NodeId id, unsigned lane) const
     return _arena.read(_slotOf[id], _netlist.node(id).width, lane);
 }
 
-const char *
-evalModeName(EvalMode mode)
-{
-    switch (mode) {
-      case EvalMode::Reference: return "reference";
-      case EvalMode::Compiled: return "compiled";
-      case EvalMode::Parallel: return "parallel";
-      case EvalMode::Aot: return "aot";
-    }
-    return "?";
-}
-
-bool
-parseEvalMode(const std::string &name, EvalMode &mode)
-{
-    for (EvalMode m : {EvalMode::Reference, EvalMode::Compiled,
-                       EvalMode::Parallel, EvalMode::Aot}) {
-        if (name == evalModeName(m)) {
-            mode = m;
-            return true;
-        }
-    }
-    return false;
-}
-
 // ---- checkpoint/restore hooks (see EvaluatorBase::saveLaneState) ----
 
 BitVector
@@ -522,56 +495,6 @@ CompiledEvaluator::snapshotRestored()
     for (const LaneState &ls : _lane)
         cycle = std::max(cycle, ls.cycle);
     _cycle = cycle;
-}
-
-std::unique_ptr<EvaluatorBase>
-makeEvaluator(Netlist netlist, EvalMode mode, const EvalOptions &options)
-{
-    switch (mode) {
-      case EvalMode::Reference:
-        if (options.lanes != 1)
-            MANTICORE_FATAL("the reference evaluator has no ensemble "
-                            "mode (lanes=", options.lanes,
-                            "); use compiled or parallel");
-        return std::make_unique<Evaluator>(std::move(netlist));
-      case EvalMode::Compiled:
-        return std::make_unique<CompiledEvaluator>(std::move(netlist),
-                                                   options);
-      case EvalMode::Parallel:
-        if (options.aot) {
-            // Strict availability, as for EvalMode::Aot below: a
-            // caller who ASKED for per-partition AOT gets an
-            // actionable error, not a silent interpreter.
-            const AotToolchain &tc = aotToolchain(options.aotCompiler);
-            if (!tc.ok)
-                MANTICORE_FATAL(
-                    "netlist.parallel.aot needs a working host C++ "
-                    "compiler: ", tc.message,
-                    " -- set $MANTICORE_AOT_CXX or "
-                    "EvalOptions::aotCompiler, or use "
-                    "netlist.parallel");
-            return std::make_unique<AotParallelEvaluator>(
-                std::move(netlist), options);
-        }
-        return std::make_unique<ParallelCompiledEvaluator>(
-            std::move(netlist), options);
-      case EvalMode::Aot: {
-        // Strict availability at the factory/registry boundary: a
-        // caller who ASKED for netlist.aot gets an actionable error,
-        // not a silent interpreter.  (Direct AotEvaluator
-        // construction degrades gracefully instead — see aot.hh.)
-        const AotToolchain &tc = aotToolchain(options.aotCompiler);
-        if (!tc.ok)
-            MANTICORE_FATAL(
-                "netlist.aot needs a working host C++ compiler: ",
-                tc.message,
-                " -- set $MANTICORE_AOT_CXX or "
-                "EvalOptions::aotCompiler, or use netlist.compiled");
-        return std::make_unique<AotEvaluator>(std::move(netlist),
-                                              options);
-      }
-    }
-    MANTICORE_FATAL("unknown evaluator mode");
 }
 
 } // namespace manticore::netlist

@@ -5,7 +5,7 @@
  *
  * The constructor lowers the netlist once into
  *
- *  - a single contiguous uint64_t ensemble arena (see arena.hh)
+ *  - a single contiguous uint64_t ensemble arena (see exec/arena.hh)
  *    holding every node's value as a fixed lane-strided limb block
  *    (Const slots written once and broadcast, Input slots written by
  *    setInput, RegRead slots doubling as the register storage), and
@@ -36,8 +36,8 @@
 #include <string>
 #include <vector>
 
+#include "exec/arena.hh"
 #include "exec/padding.hh"
-#include "netlist/arena.hh"
 #include "netlist/evaluator.hh"
 #include "netlist/netlist.hh"
 #include "netlist/tape.hh"
@@ -167,7 +167,7 @@ class CompiledEvaluator : public EvaluatorBase
     // invisible to every observer.
     unsigned _lanes;
     unsigned _padded;
-    Arena _arena;
+    exec::Arena _arena;
     std::vector<uint32_t> _slotOf; ///< node id -> lane-0 limb offset
     std::vector<tape::Instr> _tape;
     std::vector<tape::MemState> _mems;

@@ -19,8 +19,8 @@
  * persistent worker pool with the paper's two-barrier Vcycle
  * structure (§6.1).
  *
- * makeEvaluator() picks an engine at runtime so harnesses can compare
- * them (see src/netlist/README.md).
+ * engine::create builds any of them by registry name so harnesses can
+ * compare them (see src/netlist/README.md).
  */
 
 #ifndef MANTICORE_NETLIST_EVALUATOR_HH
@@ -28,7 +28,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -53,7 +52,7 @@ using LaneState = exec::LaneState;
  *
  *  The compiled engines can run an N-lane *ensemble*: N decoupled
  *  simulations of the same netlist advanced together (lane-strided
- *  state, see arena.hh), each lane with its own stimulus, status,
+ *  state, see exec/arena.hh), each lane with its own stimulus, status,
  *  cycle count, failure message and display transcript.  The plain
  *  (un-suffixed) accessors always mean lane 0, and driving an input
  *  through them broadcasts to every lane, so a single-lane caller
@@ -180,22 +179,6 @@ class EvaluatorBase
                                  const std::string &name);
 };
 
-/** Which evaluator engine makeEvaluator() should build. */
-enum class EvalMode
-{
-    Reference, ///< graph-walking Evaluator (allocating, obviously correct)
-    Compiled,  ///< tape/arena CompiledEvaluator (zero-allocation)
-    Parallel,  ///< partition-parallel tapes on a worker pool (§6.1)
-    Aot,       ///< tape AOT-compiled to a dlopen'd cycle function (aot.hh)
-};
-
-const char *evalModeName(EvalMode mode);
-
-/** Parse "reference" / "compiled" / "parallel" / "aot" (the
- *  evalModeName spellings) into an EvalMode; returns false on
- *  anything else. */
-bool parseEvalMode(const std::string &name, EvalMode &mode);
-
 /** How the parallel evaluator's rendezvous waits for its peers. */
 enum class WaitPolicy
 {
@@ -207,8 +190,9 @@ enum class WaitPolicy
     Block,
 };
 
-/** Engine options; the compiled engines consult lanes, only
- *  EvalMode::Parallel consults the rest. */
+/** Engine options; the compiled engines consult lanes, the parallel
+ *  engines the thread, merge and wait settings, the AOT engines the
+ *  aot* settings. */
 struct EvalOptions
 {
     /// Worker-pool size (and partition-count bound); 0 means
@@ -220,16 +204,10 @@ struct EvalOptions
     /// Ensemble width: advance N decoupled simulations per step —
     /// one tape dispatch (and, for Parallel, one two-barrier
     /// rendezvous) amortised over N lanes.  Compiled engines only;
-    /// EvalMode::Reference rejects lanes != 1.
+    /// the reference Evaluator is scalar.
     unsigned lanes = 1;
-    /// Rendezvous wait policy (EvalMode::Parallel only).
+    /// Rendezvous wait policy (parallel engines only).
     WaitPolicy waitPolicy = WaitPolicy::Spin;
-    /// EvalMode::Parallel only: evaluate each partition's tape
-    /// through a per-partition AOT-compiled object (the
-    /// "netlist.parallel.aot" registry variant).  The rendezvous
-    /// protocol is untouched; only the compute phase's executor
-    /// changes (see src/netlist/aot.hh).
-    bool aot = false;
     /// AOT modes: object-cache directory override.  Empty means
     /// $MANTICORE_AOT_CACHE, then a per-user directory under
     /// $TMPDIR (see src/netlist/aot.hh for the resolution order).
@@ -243,11 +221,6 @@ struct EvalOptions
     /// concurrent compiler processes (0 = hardware concurrency).
     unsigned aotJobs = 0;
 };
-
-/** Build an evaluator over (a copy of) the netlist in the given mode. */
-std::unique_ptr<EvaluatorBase> makeEvaluator(Netlist netlist,
-                                             EvalMode mode,
-                                             const EvalOptions &options = {});
 
 class Evaluator : public EvaluatorBase
 {

@@ -19,7 +19,7 @@
  *                   memory images (the cross-process "SENDs").
  *   barrier 2       the Vcycle is complete.
  *
- * Everything lives in ONE ensemble arena (arena.hh) split into a
+ * Everything lives in ONE ensemble arena (exec/arena.hh) split into a
  * shared source region (constants, inputs, the register file grouped
  * by owner and cache-line aligned) and per-process private regions,
  * so tape instructions address any operand by global limb offset and
@@ -54,8 +54,8 @@
 #include <thread>
 #include <vector>
 
+#include "exec/arena.hh"
 #include "exec/padding.hh"
-#include "netlist/arena.hh"
 #include "netlist/evaluator.hh"
 #include "netlist/netlist.hh"
 #include "netlist/partition.hh"
@@ -287,7 +287,7 @@ class ParallelCompiledEvaluator : public EvaluatorBase
     // padded lanes stay frozen at init and invisible.
     unsigned _lanes;
     unsigned _padded;
-    Arena _arena;
+    exec::Arena _arena;
     std::vector<uint32_t> _sourceSlot; ///< node id -> slot (Const/Input)
     std::vector<uint32_t> _regSlot;    ///< reg id -> register-file slot
     std::vector<tape::MemState> _mems;

@@ -4,7 +4,7 @@
  *
  * A tape is an array of POD instructions, one per combinational node,
  * whose operands are limb offsets into a single uint64_t arena (see
- * arena.hh).  The serial CompiledEvaluator lowers the whole netlist
+ * exec/arena.hh).  The serial CompiledEvaluator lowers the whole netlist
  * into one tape; the ParallelCompiledEvaluator lowers one tape per
  * partition, all addressing disjoint regions of one shared arena.
  * Lowering (`lower`) and execution (`run`) live here so the two

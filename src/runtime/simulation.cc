@@ -1,25 +1,6 @@
 #include "runtime/simulation.hh"
 
-#include "engine/crosscheck.hh"
-#include "engine/registry.hh"
-#include "support/logging.hh"
-
 namespace manticore::runtime {
-
-namespace {
-
-isa::RunStatus
-toRunStatus(engine::Status status)
-{
-    switch (status) {
-      case engine::Status::Running: return isa::RunStatus::Running;
-      case engine::Status::Finished: return isa::RunStatus::Finished;
-      case engine::Status::Failed: return isa::RunStatus::Failed;
-    }
-    return isa::RunStatus::Failed;
-}
-
-} // namespace
 
 Simulation::Simulation(const netlist::Netlist &netlist,
                        const compiler::CompileOptions &options)
@@ -28,104 +9,17 @@ Simulation::Simulation(const netlist::Netlist &netlist,
 {
     _machine = std::make_unique<machine::Machine>(_compiled.program,
                                                   _config);
-    _signals = engine::rtlSignals(netlist, _compiled);
-    _machineEngine =
-        std::make_unique<engine::MachineEngine>(*_machine, _signals);
+    _machineEngine = std::make_unique<engine::MachineEngine>(
+        *_machine, engine::rtlSignals(netlist, _compiled));
     _host = std::make_unique<Host>(_compiled.program,
                                    _machine->globalMemory());
     _host->attach(*_machineEngine);
-}
-
-Simulation::Simulation(const netlist::Netlist &netlist,
-                       const compiler::CompileOptions &options,
-                       netlist::EvalMode golden_mode,
-                       const netlist::EvalOptions &golden_options)
-    : Simulation(netlist, options)
-{
-    _netlist = netlist;
-    _goldenMode = golden_mode;
-    _goldenOptions = golden_options;
 }
 
 isa::RunStatus
 Simulation::run(uint64_t max_vcycles)
 {
     return _machine->run(max_vcycles);
-}
-
-isa::RunStatus
-Simulation::crossCheckAgainst(engine::Engine &golden,
-                              uint64_t max_vcycles)
-{
-    engine::CrossCheck harness(golden, *_machineEngine);
-    engine::RunResult result = harness.run(max_vcycles);
-    _divergence = harness.divergence();
-    return toRunStatus(result.status);
-}
-
-isa::RunStatus
-Simulation::runCrossChecked(uint64_t max_vcycles)
-{
-    MANTICORE_ASSERT(_netlist.has_value(),
-                     "runCrossChecked requires constructing Simulation "
-                     "with a golden EvalMode");
-    if (!_golden) {
-        engine::CreateOptions options;
-        options.eval = _goldenOptions;
-        _golden = engine::create(
-            std::string("netlist.") + netlist::evalModeName(_goldenMode),
-            *_netlist, options);
-    }
-    return crossCheckAgainst(*_golden, max_vcycles);
-}
-
-isa::RunStatus
-Simulation::runIsaCrossChecked(uint64_t max_vcycles, isa::ExecMode mode)
-{
-    if (!_isaGolden || _isaGoldenMode != mode) {
-        _isaGoldenMode = mode;
-        _isaGolden = engine::create(
-            std::string("isa.") + isa::execModeName(mode),
-            _compiled.program, _config, _signals);
-    }
-    return crossCheckAgainst(*_isaGolden, max_vcycles);
-}
-
-isa::RunStatus
-Simulation::runEnsembleCrossChecked(uint64_t max_vcycles, unsigned lanes,
-                                    const engine::LaneStimulus &stimulus,
-                                    const std::string &subject_engine)
-{
-    MANTICORE_ASSERT(_netlist.has_value(),
-                     "runEnsembleCrossChecked requires constructing "
-                     "Simulation with a golden EvalMode");
-    engine::CreateOptions subject_options;
-    subject_options.lanes = lanes;
-    subject_options.eval = _goldenOptions;
-    subject_options.eval.lanes = lanes;
-    std::unique_ptr<engine::Engine> subject =
-        engine::create(subject_engine, *_netlist, subject_options);
-
-    // One independent scalar golden run per lane, in the configured
-    // golden mode.
-    engine::CreateOptions golden_options;
-    golden_options.eval = _goldenOptions;
-    golden_options.eval.lanes = 1; // goldens are scalar by definition
-    std::vector<std::unique_ptr<engine::Engine>> goldens;
-    std::vector<engine::Engine *> golden_ptrs;
-    for (unsigned l = 0; l < lanes; ++l) {
-        goldens.push_back(engine::create(
-            std::string("netlist.") + netlist::evalModeName(_goldenMode),
-            *_netlist, golden_options));
-        golden_ptrs.push_back(goldens.back().get());
-    }
-
-    engine::EnsembleCrossCheck harness(golden_ptrs, *subject);
-    if (stimulus)
-        harness.setStimulus(stimulus);
-    engine::RunResult result = harness.run(max_vcycles);
-    _divergence = harness.divergence();
-    return toRunStatus(result.status);
 }
 
 double

@@ -9,27 +9,20 @@
  * harnesses, engine::Session + engine::create is the more general
  * spelling; Simulation remains the machine-centric facade.)
  *
- * runCrossChecked() locksteps the machine against a golden-model
- * netlist evaluator, runIsaCrossChecked() against a functional ISA
- * interpreter on the same compiled program.  Both are thin wrappers
- * over the generic engine::CrossCheck harness — the machine is the
- * subject engine, the golden engine is selectable (EvalMode /
- * ExecMode), and the first mismatch is reported with its cycle and
- * signal through divergence().
+ * To lockstep the machine against a golden model, hand
+ * machineEngine() to engine::CrossCheck with any registry engine as
+ * the golden (see src/engine/crosscheck.hh).
  */
 
 #ifndef MANTICORE_RUNTIME_SIMULATION_HH
 #define MANTICORE_RUNTIME_SIMULATION_HH
 
 #include <memory>
-#include <optional>
 #include <string>
 
 #include "compiler/compiler.hh"
 #include "engine/adapters.hh"
-#include "engine/crosscheck.hh"
 #include "machine/machine.hh"
-#include "netlist/evaluator.hh"
 #include "netlist/netlist.hh"
 #include "runtime/host.hh"
 
@@ -38,61 +31,11 @@ namespace manticore::runtime {
 class Simulation
 {
   public:
-    /** Plain simulation: no golden model is kept, so the netlist is
-     *  not copied. */
     Simulation(const netlist::Netlist &netlist,
                const compiler::CompileOptions &options = {});
 
-    /** Cross-checkable simulation: keeps a copy of the netlist and
-     *  builds a golden-model evaluator of the given mode lazily on
-     *  the first runCrossChecked call.
-     *  @param golden_options engine options (thread count / merge
-     *  algorithm for EvalMode::Parallel). */
-    Simulation(const netlist::Netlist &netlist,
-               const compiler::CompileOptions &options,
-               netlist::EvalMode golden_mode,
-               const netlist::EvalOptions &golden_options = {});
-
     /** Simulate up to max_vcycles RTL cycles. */
     isa::RunStatus run(uint64_t max_vcycles);
-
-    /** Simulate up to max_vcycles RTL cycles with the machine and the
-     *  golden-model evaluator in lockstep (engine::CrossCheck),
-     *  comparing engine status and every RTL register at each Vcycle
-     *  boundary.  Returns Failed (with divergence() set) at the first
-     *  mismatch.  Requires construction with a golden EvalMode. */
-    isa::RunStatus runCrossChecked(uint64_t max_vcycles);
-
-    /** Simulate up to max_vcycles RTL cycles with the machine and a
-     *  functional ISA interpreter (on the same compiled program) in
-     *  lockstep.  Available on any Simulation (no netlist copy
-     *  needed). */
-    isa::RunStatus
-    runIsaCrossChecked(uint64_t max_vcycles,
-                       isa::ExecMode mode = isa::ExecMode::Tape);
-
-    /** Validate an N-lane ensemble engine of this design: build
-     *  `subject_engine` ("netlist.parallel" or "netlist.compiled")
-     *  with `lanes` lanes plus `lanes` independent scalar golden
-     *  runs of the configured golden EvalMode, drive each lane's
-     *  stimulus through `stimulus` (optional; closed designs
-     *  self-drive), and lockstep-compare every lane — status, cycle
-     *  counts, failure messages and every RTL register — including
-     *  divergent per-lane finish/assert cycles
-     *  (engine::EnsembleCrossCheck).  Returns Failed with
-     *  divergence() set at the first mismatch.  Requires
-     *  construction with a golden EvalMode. */
-    isa::RunStatus runEnsembleCrossChecked(
-        uint64_t max_vcycles, unsigned lanes,
-        const engine::LaneStimulus &stimulus = {},
-        const std::string &subject_engine = "netlist.parallel");
-
-    /** Description of the first cross-check mismatch; empty if none. */
-    const std::string &divergence() const { return _divergence; }
-
-    /** Engine configured for cross-checks; meaningless (Reference)
-     *  when constructed without one. */
-    netlist::EvalMode goldenMode() const { return _goldenMode; }
 
     isa::RunStatus status() const { return _machine->status(); }
     uint64_t vcycles() const { return _machine->perf().vcycles; }
@@ -116,27 +59,12 @@ class Simulation
     }
 
   private:
-    isa::RunStatus crossCheckAgainst(engine::Engine &golden,
-                                     uint64_t max_vcycles);
-
-    /// Netlist copy for golden-model construction; engaged only by
-    /// the cross-checkable constructor.
-    std::optional<netlist::Netlist> _netlist;
     compiler::CompileResult _compiled;
     isa::MachineConfig _config;
-    netlist::EvalMode _goldenMode = netlist::EvalMode::Reference;
-    netlist::EvalOptions _goldenOptions;
     std::unique_ptr<machine::Machine> _machine;
-    /// RTL register observation table (names / widths / chunk homes).
-    std::vector<engine::RtlSignal> _signals;
     /// Engine view of *_machine: the cross-check subject.
     std::unique_ptr<engine::MachineEngine> _machineEngine;
     std::unique_ptr<Host> _host;
-    /// Lazily-created golden engines (netlist- and ISA-level).
-    std::unique_ptr<engine::Engine> _golden;
-    std::unique_ptr<engine::Engine> _isaGolden;
-    isa::ExecMode _isaGoldenMode = isa::ExecMode::Tape;
-    std::string _divergence;
 };
 
 } // namespace manticore::runtime

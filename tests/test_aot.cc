@@ -4,17 +4,21 @@
  * compiled evaluator (identical stimulus, full architectural state
  * compared every cycle), the object-cache protocol (second
  * construction loads the cached object without invoking the
- * compiler; a corrupted entry is detected, unlinked and rebuilt),
- * the graceful fallback to the interpreted tape when no toolchain
- * works, and the strict factory/registry path that refuses instead.
+ * compiler; a corrupted entry is detected, unlinked and rebuilt;
+ * concurrent cold builds of one object all load it), the graceful
+ * fallback to the interpreted tape when no toolchain works, and the
+ * strict registry path that refuses instead.
  * Labelled "aot" in CMake so both sanitized configs run it.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <filesystem>
+#include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "engine/registry.hh"
@@ -115,6 +119,35 @@ runLockstep(const Netlist &nl, CompiledEvaluator &a, CompiledEvaluator &b,
     ASSERT_EQ(a.displayLog(), b.displayLog());
 }
 
+/** Construct `kThreads` evaluators of type E over `nl` at once, one
+ *  per thread, all into the same cache; returns how many of them
+ *  fell back to the interpreted tape.  The evaluators are destroyed
+ *  here, after the joins: a dlclose on one thread while another
+ *  dlopens the same object is ordered only by the dynamic loader's
+ *  own lock, which the thread sanitizer cannot see. */
+template <typename E>
+unsigned
+concurrentFallbacks(const Netlist &nl, const EvalOptions &options)
+{
+    constexpr unsigned kThreads = 8;
+    std::atomic<bool> go{false};
+    std::vector<std::unique_ptr<E>> evals(kThreads);
+    std::vector<std::thread> threads;
+    for (unsigned t = 0; t < kThreads; ++t)
+        threads.emplace_back([&, t] {
+            while (!go.load())
+                std::this_thread::yield();
+            evals[t] = std::make_unique<E>(nl, options);
+        });
+    go.store(true);
+    for (std::thread &t : threads)
+        t.join();
+    unsigned fallbacks = 0;
+    for (const std::unique_ptr<E> &eval : evals)
+        fallbacks += !eval->usingAot();
+    return fallbacks;
+}
+
 } // namespace
 
 TEST(AotEvaluator, RandomizedDifferentialAgainstTheInterpretedTape)
@@ -206,15 +239,35 @@ TEST(AotEvaluator, MissingCompilerFallsBackToTheInterpretedTape)
 
 TEST(AotEvaluator, FactoryIsStrictAboutAMissingToolchain)
 {
-    // makeEvaluator / the registry are the "asked for AOT by name"
-    // path: no silent fallback, a fatal naming the probed toolchain.
+    // The registry is the "asked for AOT by name" path: no silent
+    // fallback, a fatal naming the probed toolchain.
     Netlist nl = cachedDesign();
-    EvalOptions options = aotOptions(freshCacheDir("strict"));
-    options.aotCompiler = "/nonexistent/manticore-bogus-c++";
-    EXPECT_EXIT(
-        netlist::makeEvaluator(nl, netlist::EvalMode::Aot, options),
-        ::testing::ExitedWithCode(1),
-        "netlist.aot needs a working host C\\+\\+ compiler");
+    engine::CreateOptions copts;
+    copts.eval = aotOptions(freshCacheDir("strict"));
+    copts.eval.aotCompiler = "/nonexistent/manticore-bogus-c++";
+    EXPECT_EXIT(engine::create("netlist.aot", nl, copts),
+                ::testing::ExitedWithCode(1),
+                "netlist.aot needs a working host C\\+\\+ compiler");
+}
+
+TEST(AotCache, ConcurrentColdBuildsOfOneObjectAllLoad)
+{
+    // Threads building the same object into one empty cache must not
+    // collide on intermediate files: every instance loads its object
+    // instead of silently running on the interpreted tape.
+    if (!hostHasToolchain())
+        GTEST_SKIP() << netlist::aotToolchain().message;
+    Netlist nl = cachedDesign();
+    EvalOptions options = aotOptions(freshCacheDir("race"));
+    options.aotJobs = 1;
+    EXPECT_EQ(concurrentFallbacks<AotEvaluator>(nl, options), 0u);
+
+    EvalOptions par = aotOptions(freshCacheDir("race-parallel"));
+    par.aotJobs = 1;
+    par.numThreads = 2;
+    par.waitPolicy = netlist::WaitPolicy::Block;
+    EXPECT_EQ(concurrentFallbacks<netlist::AotParallelEvaluator>(nl, par),
+              0u);
 }
 
 TEST(AotEvaluator, EmittedSourceIsSelfDescribing)

@@ -12,7 +12,7 @@
  * counts, the per-partition object-cache protocol (warm hit, one
  * corrupted object rebuilds exactly one object), the graceful
  * per-partition fallback when no toolchain works, and the strict
- * factory that refuses instead.  Labelled "aot" in CMake so both
+ * registry path that refuses instead.  Labelled "aot" in CMake so both
  * sanitized configs run it.
  */
 
@@ -69,7 +69,6 @@ EvalOptions
 parallelAotOptions(const std::string &cache_dir, unsigned threads = 3)
 {
     EvalOptions options;
-    options.aot = true;
     options.aotCacheDir = cache_dir;
     options.numThreads = threads;
     return options;
@@ -339,13 +338,14 @@ TEST(AotParallelEvaluator, MissingCompilerFallsBackToTheInterpretedTape)
 
 TEST(AotParallelEvaluator, FactoryIsStrictAboutAMissingToolchain)
 {
-    // makeEvaluator / the registry are the "asked for AOT by name"
-    // path: no silent fallback, a fatal naming the probed toolchain.
+    // The registry is the "asked for AOT by name" path: no silent
+    // fallback, a fatal naming the probed toolchain.
     Netlist nl = designs::buildMm(64);
-    EvalOptions options = parallelAotOptions(freshCacheDir("strict"));
-    options.aotCompiler = "/nonexistent/manticore-bogus-c++";
+    engine::CreateOptions copts;
+    copts.eval = parallelAotOptions(freshCacheDir("strict"));
+    copts.eval.aotCompiler = "/nonexistent/manticore-bogus-c++";
     EXPECT_EXIT(
-        netlist::makeEvaluator(nl, netlist::EvalMode::Parallel, options),
+        engine::create("netlist.parallel.aot", nl, copts),
         ::testing::ExitedWithCode(1),
         "netlist.parallel.aot needs a working host C\\+\\+ compiler");
 }

@@ -11,6 +11,7 @@
 #include "baseline/baseline.hh"
 #include "designs/designs.hh"
 #include "netlist/builder.hh"
+#include "netlist/compiled_evaluator.hh"
 #include "netlist/evaluator.hh"
 
 using namespace manticore;
@@ -36,18 +37,18 @@ TEST(Baseline, SerialMatchesReferenceEvaluator)
 TEST(Baseline, SerialMatchesCompiledTapeEvaluator)
 {
     // Same check as above but against the zero-allocation tape
-    // engine via the common factory, so the two compiled execution
-    // paths (baseline word ops, netlist tape) cross-validate.
+    // engine, so the two compiled execution paths (baseline word ops,
+    // netlist tape) cross-validate.
     netlist::Netlist nl = designs::buildCgra(128);
-    auto ref = netlist::makeEvaluator(nl, netlist::EvalMode::Compiled);
+    netlist::CompiledEvaluator ref(nl);
     baseline::CompiledDesign design(nl);
     baseline::SerialSimulator sim(design);
     for (int c = 0; c < 64; ++c) {
-        ref->step();
+        ref.step();
         sim.step();
         for (size_t r = 0; r < nl.numRegisters(); ++r) {
             ASSERT_EQ(sim.state().regs[r],
-                      ref->regValue(static_cast<uint32_t>(r)).toUint64())
+                      ref.regValue(static_cast<uint32_t>(r)).toUint64())
                 << "reg " << nl.reg(static_cast<uint32_t>(r)).name
                 << " cycle " << c;
         }

@@ -163,7 +163,7 @@ TEST(CompiledEvaluator, WideArithmeticMatchesBitVector)
     }
 }
 
-TEST(CompiledEvaluator, FactoryBuildsBothModes)
+TEST(CompiledEvaluator, MatchesReferenceDisplayLogToFinish)
 {
     netlist::CircuitBuilder b("even_odd");
     auto counter = b.reg("counter", 16);
@@ -174,12 +174,12 @@ TEST(CompiledEvaluator, FactoryBuildsBothModes)
     b.finish(counter.read() == b.lit(16, 20));
     Netlist nl = b.build();
 
-    auto ref = netlist::makeEvaluator(nl, netlist::EvalMode::Reference);
-    auto tape = netlist::makeEvaluator(nl, netlist::EvalMode::Compiled);
-    EXPECT_EQ(ref->run(100), SimStatus::Finished);
-    EXPECT_EQ(tape->run(100), SimStatus::Finished);
-    EXPECT_EQ(ref->cycle(), tape->cycle());
-    EXPECT_EQ(ref->displayLog(), tape->displayLog());
-    EXPECT_EQ(tape->displayLog().size(), 21u);
-    EXPECT_EQ(tape->displayLog()[20], "20 is an even number");
+    Evaluator ref(nl);
+    CompiledEvaluator tape(nl);
+    EXPECT_EQ(ref.run(100), SimStatus::Finished);
+    EXPECT_EQ(tape.run(100), SimStatus::Finished);
+    EXPECT_EQ(ref.cycle(), tape.cycle());
+    EXPECT_EQ(ref.displayLog(), tape.displayLog());
+    EXPECT_EQ(tape.displayLog().size(), 21u);
+    EXPECT_EQ(tape.displayLog()[20], "20 is an even number");
 }

@@ -12,7 +12,7 @@
 
 #include "engine/crosscheck.hh"
 #include "engine/registry.hh"
-#include "isa/interpreter.hh"
+#include "isa/tape_interpreter.hh"
 #include "netlist/builder.hh"
 
 using namespace manticore;
@@ -190,10 +190,9 @@ TEST(CrossCheck, RefusesEnginesWithoutCommonSignals)
     compiler::CompileOptions copts;
     copts.config.gridX = copts.config.gridY = 2;
     compiler::CompileResult cr = compiler::compile(design, copts);
-    auto interp = isa::makeInterpreter(cr.program, copts.config,
-                                       isa::ExecMode::Tape);
+    isa::TapeInterpreter interp(cr.program, copts.config);
     // A borrowed interpreter without a signal table has no probes.
-    engine::IsaEngine probeless = engine::wrap(*interp);
+    engine::IsaEngine probeless = engine::wrap(interp);
     auto golden = engine::create("netlist.reference", design);
     EXPECT_EXIT(engine::CrossCheck(*golden, probeless),
                 ::testing::ExitedWithCode(1), "has no signal probes");

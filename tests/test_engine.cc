@@ -5,13 +5,15 @@
  * engine::Engine interface — same probes, same display transcript,
  * same finish cycle — and batched step(n) is cycle-exact with n
  * calls of step(1) on every engine.  Also covers the satellite
- * guarantees: mode-name round trips, handle-based inputs, and the
- * name-listing diagnostics for unknown engines / inputs / signals.
+ * guarantees: wrap() names agreeing with the registry, handle-based
+ * inputs, and the name-listing diagnostics for unknown engines /
+ * inputs / signals.
  */
 
 #include <gtest/gtest.h>
 
 #include "designs/designs.hh"
+#include "engine/adapters.hh"
 #include "engine/crosscheck.hh"
 #include "engine/registry.hh"
 #include "isa/interpreter.hh"
@@ -98,45 +100,25 @@ TEST(EngineRegistry, ListsAllEightEngines)
     }
 }
 
-TEST(EngineRegistry, ModeNamesRoundTrip)
+TEST(EngineRegistry, WrapReportsTheCreatedName)
 {
-    using netlist::EvalMode;
-    for (EvalMode mode : {EvalMode::Reference, EvalMode::Compiled,
-                          EvalMode::Parallel, EvalMode::Aot}) {
-        EvalMode parsed;
-        ASSERT_TRUE(netlist::parseEvalMode(netlist::evalModeName(mode),
-                                           parsed));
-        EXPECT_EQ(parsed, mode);
-    }
-    using isa::ExecMode;
-    for (ExecMode mode : {ExecMode::Reference, ExecMode::Tape}) {
-        ExecMode parsed;
-        ASSERT_TRUE(
-            isa::parseExecMode(isa::execModeName(mode), parsed));
-        EXPECT_EQ(parsed, mode);
-    }
-    netlist::EvalMode em;
-    isa::ExecMode xm;
-    EXPECT_FALSE(netlist::parseEvalMode("Tape", em));
-    EXPECT_FALSE(netlist::parseEvalMode("", em));
-    EXPECT_FALSE(isa::parseExecMode("parallel", xm));
-
-    // Registry names round-trip through create()->name(), and the
-    // netlist-level names are exactly "netlist." + evalModeName —
-    // except netlist.parallel.aot, a registry-only variant (EvalMode
-    // Parallel plus EvalOptions::aot), which has no EvalMode of its
-    // own by design.
-    for (const engine::EngineInfo &info : engine::list()) {
-        if (!info.netlistLevel)
-            continue;
-        if (std::string(info.name) == "netlist.parallel.aot")
-            continue;
-        netlist::EvalMode mode;
-        ASSERT_TRUE(netlist::parseEvalMode(
-            std::string(info.name).substr(8), mode))
-            << info.name;
-        EXPECT_EQ(std::string("netlist.") + netlist::evalModeName(mode),
-                  info.name);
+    // engine::wrap maps a concrete engine class back to its registry
+    // name — the one name<->class map besides the registry's own.
+    // Both must agree for every engine.
+    netlist::Netlist nl = counterDesign(20);
+    for (const std::string &name : kAllEngines) {
+        SCOPED_TRACE(name);
+        std::unique_ptr<engine::Engine> eng =
+            engine::create(name, nl, smallGrid());
+        EXPECT_EQ(name, eng->name());
+        if (auto *n = dynamic_cast<engine::NetlistEngine *>(eng.get()))
+            EXPECT_EQ(name, engine::wrap(n->evaluator(), nl).name());
+        else if (auto *i = dynamic_cast<engine::IsaEngine *>(eng.get()))
+            EXPECT_EQ(name, engine::wrap(i->interpreter()).name());
+        else if (auto *m = dynamic_cast<engine::MachineEngine *>(eng.get()))
+            EXPECT_EQ(name, engine::wrap(m->machine()).name());
+        else
+            ADD_FAILURE() << "not a registry adapter";
     }
 }
 
@@ -331,9 +313,8 @@ TEST(EngineDiagnostics, CapabilityViolationsNameTheEngine)
     compiler::CompileOptions copts;
     copts.config.gridX = copts.config.gridY = 2;
     compiler::CompileResult cr = compiler::compile(design, copts);
-    auto interp = isa::makeInterpreter(cr.program, copts.config,
-                                       isa::ExecMode::Reference);
-    engine::IsaEngine eng = engine::wrap(*interp);
+    isa::Interpreter interp(cr.program, copts.config);
+    engine::IsaEngine eng = engine::wrap(interp);
     EXPECT_FALSE(eng.has(engine::cap::kProbes));
     EXPECT_EXIT(eng.probe("cyc"), ::testing::ExitedWithCode(1),
                 "isa.reference does not support signal probes");

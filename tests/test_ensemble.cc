@@ -21,7 +21,6 @@
 #include "netlist/builder.hh"
 #include "netlist/evaluator.hh"
 #include "support/rng.hh"
-#include "runtime/simulation.hh"
 #include "runtime/waveform.hh"
 #include "tests/random_circuit.hh"
 
@@ -354,13 +353,11 @@ TEST(Ensemble, StatsAggregateAndRunResultLanes)
     EXPECT_EQ(scalar->step(1).lanes, 1u);
 }
 
-TEST(Ensemble, SimulationEnsembleCrossCheck)
+TEST(Ensemble, ClosedDesignNeedsNoStimulusHook)
 {
-    // The runtime facade wires the subject, the per-lane goldens and
-    // the harness in one call.  Simulation compiles the design for
-    // its machine, so it only takes closed (self-driving) netlists;
-    // per-lane stimulus for open designs goes through
-    // EnsembleCrossCheck directly (covered above).
+    // A closed (self-driving) design runs through the harness with no
+    // LaneStimulus: every lane of the parallel ensemble against its
+    // own scalar netlist.compiled golden.
     netlist::CircuitBuilder b("ens_closed");
     auto c = b.reg("c", 16);
     b.next(c, c.read() + b.lit(16, 1));
@@ -370,12 +367,15 @@ TEST(Ensemble, SimulationEnsembleCrossCheck)
     b.finish(c.read() == b.lit(16, 30));
     netlist::Netlist nl = b.build();
 
-    compiler::CompileOptions copts;
-    copts.config.gridX = copts.config.gridY = 2;
-    runtime::Simulation sim(nl, copts, netlist::EvalMode::Compiled);
-    isa::RunStatus status = sim.runEnsembleCrossChecked(100, 4);
-    EXPECT_EQ(status, isa::RunStatus::Finished) << sim.divergence();
-    EXPECT_TRUE(sim.divergence().empty()) << sim.divergence();
+    engine::CreateOptions sopts;
+    sopts.lanes = 4;
+    auto subject = engine::create("netlist.parallel", nl, sopts);
+    LaneGoldens goldens = makeGoldens(nl, 4, "netlist.compiled");
+    engine::EnsembleCrossCheck harness(goldens.ptrs, *subject);
+    engine::RunResult result = harness.run(100);
+    EXPECT_EQ(result.status, engine::Status::Finished)
+        << harness.divergence();
+    EXPECT_FALSE(harness.diverged()) << harness.divergence();
 }
 
 TEST(Ensemble, PerLaneWaveformCapture)

@@ -19,6 +19,8 @@
 
 #include "compiler/compiler.hh"
 #include "engine/adapters.hh"
+#include "engine/crosscheck.hh"
+#include "engine/registry.hh"
 #include "designs/designs.hh"
 #include "isa/exec_semantics.hh"
 #include "isa/interpreter.hh"
@@ -359,7 +361,9 @@ singleProcess(std::vector<Instruction> body,
     return p;
 }
 
-class BothEngines : public ::testing::TestWithParam<isa::ExecMode>
+/** Parameterised over the two interpreters: false = reference,
+ *  true = flat tape. */
+class BothEngines : public ::testing::TestWithParam<bool>
 {
   protected:
     isa::MachineConfig cfg()
@@ -367,6 +371,15 @@ class BothEngines : public ::testing::TestWithParam<isa::ExecMode>
         isa::MachineConfig c;
         c.gridX = c.gridY = 1;
         return c;
+    }
+
+    /** The interpreter under test (p and c must outlive it). */
+    std::unique_ptr<isa::InterpreterBase>
+    build(const Program &p, const isa::MachineConfig &c)
+    {
+        if (GetParam())
+            return std::make_unique<isa::TapeInterpreter>(p, c);
+        return std::make_unique<isa::Interpreter>(p, c);
     }
 };
 
@@ -381,7 +394,7 @@ TEST_P(BothEngines, BatchedCarryChainSemantics)
          make(Opcode::Addc, 11, 10, 0, 10)},
         {{0, 0}, {1, 0xffff}, {2, 3}});
     auto c = cfg();
-    auto interp = isa::makeInterpreter(p, c, GetParam());
+    auto interp = build(p, c);
     interp->stepVcycle();
     // r10 = 0x0002 carry 1; r11 = r10(new) + 0 + carry = 3.
     EXPECT_EQ(interp->regValue(0, 10), 2u);
@@ -396,7 +409,7 @@ TEST_P(BothEngines, BatchedBorrowChainSemantics)
          make(Opcode::Subb, 11, 0, 0, 10)},
         {{0, 0}, {1, 1}});
     auto c = cfg();
-    auto interp = isa::makeInterpreter(p, c, GetParam());
+    auto interp = build(p, c);
     interp->stepVcycle();
     EXPECT_EQ(interp->regValue(0, 10), 0xffffu);
     EXPECT_EQ(interp->regValue(0, 11), 0xffffu);
@@ -411,7 +424,7 @@ TEST_P(BothEngines, MulPairAndDependentMovRun)
          make(Opcode::Mov, 12, 10), make(Opcode::Mov, 13, 12)},
         {{1, 0x1234}, {2, 0x5678}});
     auto c = cfg();
-    auto interp = isa::makeInterpreter(p, c, GetParam());
+    auto interp = build(p, c);
     interp->stepVcycle();
     uint32_t full = 0x1234u * 0x5678u;
     EXPECT_EQ(interp->regValue(0, 10), full & 0xffff);
@@ -433,7 +446,7 @@ TEST_P(BothEngines, PredicationSliceAndScratchAgree)
               Instruction::packSlice(4, 8))},
         {{0, 0}, {1, 1}, {2, 100}, {5, 0x7777}});
     auto c = cfg();
-    auto interp = isa::makeInterpreter(p, c, GetParam());
+    auto interp = build(p, c);
     interp->stepVcycle();
     EXPECT_EQ(interp->regValue(0, 10), 0u);
     EXPECT_EQ(interp->regValue(0, 11), 0x7777u);
@@ -464,7 +477,7 @@ TEST_P(BothEngines, SendPresizesTargetRegisterFile)
     isa::MachineConfig c;
     c.gridX = 2;
     c.gridY = 1;
-    auto interp = isa::makeInterpreter(p, c, GetParam());
+    auto interp = build(p, c);
     interp->stepVcycle();
     EXPECT_EQ(interp->regValue(1, 50), 0xbeefu);
 
@@ -483,7 +496,7 @@ TEST_P(BothEngines, ExpectFailAbortExactness)
               0x5555)},
         {{0, 0}, {1, 5}}, true);
     auto c = cfg();
-    auto interp = isa::makeInterpreter(p, c, GetParam());
+    auto interp = build(p, c);
     uint16_t seen = 0;
     interp->onException = [&](uint32_t, uint16_t eid) {
         seen = eid;
@@ -497,12 +510,10 @@ TEST_P(BothEngines, ExpectFailAbortExactness)
     EXPECT_EQ(interp->vcycle(), 0u);        // Vcycle did not complete
 }
 
-INSTANTIATE_TEST_SUITE_P(Modes, BothEngines,
-                         ::testing::Values(isa::ExecMode::Reference,
-                                           isa::ExecMode::Tape),
+INSTANTIATE_TEST_SUITE_P(Modes, BothEngines, ::testing::Bool(),
                          [](const auto &info) {
-                             return std::string(
-                                 isa::execModeName(info.param));
+                             return std::string(info.param ? "tape"
+                                                           : "reference");
                          });
 
 TEST(TapeInterpreter, ElidesNopsAndBatchesRunsOnCompiledDesigns)
@@ -537,25 +548,23 @@ TEST(TapeInterpreter, MatchesReferenceOnCompiledDesignEveryVcycle)
     opts.config.gridX = opts.config.gridY = 2;
     compiler::CompileResult result = compiler::compile(nl, opts);
 
-    auto ref = isa::makeInterpreter(result.program, opts.config,
-                                    isa::ExecMode::Reference);
-    auto tape = isa::makeInterpreter(result.program, opts.config,
-                                     isa::ExecMode::Tape);
-    runtime::Host rhost(result.program, ref->globalMemory());
-    rhost.attach(engine::wrap(*ref));
-    runtime::Host thost(result.program, tape->globalMemory());
-    thost.attach(engine::wrap(*tape));
+    isa::Interpreter ref(result.program, opts.config);
+    isa::TapeInterpreter tape(result.program, opts.config);
+    runtime::Host rhost(result.program, ref.globalMemory());
+    rhost.attach(engine::wrap(ref));
+    runtime::Host thost(result.program, tape.globalMemory());
+    thost.attach(engine::wrap(tape));
 
     for (int v = 0; v < 80; ++v) {
-        ASSERT_EQ(ref->stepVcycle(), tape->stepVcycle());
+        ASSERT_EQ(ref.stepVcycle(), tape.stepVcycle());
         for (const auto &homes : result.regChunkHome)
             for (const auto &home : homes)
-                ASSERT_EQ(ref->regValue(home.process, home.reg),
-                          tape->regValue(home.process, home.reg))
+                ASSERT_EQ(ref.regValue(home.process, home.reg),
+                          tape.regValue(home.process, home.reg))
                     << "divergence at vcycle " << v;
     }
-    EXPECT_EQ(ref->instructionsExecuted(), tape->instructionsExecuted());
-    EXPECT_EQ(ref->sendsExecuted(), tape->sendsExecuted());
+    EXPECT_EQ(ref.instructionsExecuted(), tape.instructionsExecuted());
+    EXPECT_EQ(ref.sendsExecuted(), tape.sendsExecuted());
 }
 
 TEST(SimulationIsaCrossCheck, MachineMatchesBothInterpreterModes)
@@ -564,12 +573,16 @@ TEST(SimulationIsaCrossCheck, MachineMatchesBothInterpreterModes)
     compiler::CompileOptions opts;
     opts.config.gridX = opts.config.gridY = 3;
 
-    for (isa::ExecMode mode :
-         {isa::ExecMode::Reference, isa::ExecMode::Tape}) {
+    for (const char *name : {"isa.reference", "isa.tape"}) {
         runtime::Simulation sim(nl, opts);
-        isa::RunStatus st = sim.runIsaCrossChecked(40, mode);
-        EXPECT_NE(st, isa::RunStatus::Failed) << sim.divergence();
-        EXPECT_TRUE(sim.divergence().empty()) << sim.divergence();
+        const compiler::CompileResult &cr = sim.compileResult();
+        auto golden = engine::create(name, cr.program, opts.config,
+                                     engine::rtlSignals(nl, cr));
+        engine::CrossCheck harness(*golden, sim.machineEngine());
+        engine::RunResult res = harness.run(40);
+        EXPECT_NE(res.status, engine::Status::Failed)
+            << harness.divergence();
+        EXPECT_FALSE(harness.diverged()) << harness.divergence();
     }
 }
 

@@ -30,7 +30,6 @@
 #include "runtime/waveform.hh"
 
 using namespace manticore;
-using netlist::EvalMode;
 using netlist::EvalOptions;
 using netlist::Evaluator;
 using netlist::MemId;
@@ -151,12 +150,11 @@ TEST(ParallelEvaluator, DesignChecksumsPass)
         for (const designs::Benchmark &bm : designs::allBenchmarks()) {
             if (bm.name != name)
                 continue;
-            auto par = netlist::makeEvaluator(
-                bm.build(bm.defaultCheckCycles), EvalMode::Parallel,
-                {4, MergeAlgo::Balanced});
-            SimStatus st = par->run(bm.defaultCheckCycles + 8);
+            ParallelCompiledEvaluator par(
+                bm.build(bm.defaultCheckCycles), {4, MergeAlgo::Balanced});
+            SimStatus st = par.run(bm.defaultCheckCycles + 8);
             EXPECT_EQ(st, SimStatus::Finished)
-                << bm.name << ": " << par->failureMessage();
+                << bm.name << ": " << par.failureMessage();
         }
     }
 }
@@ -305,7 +303,7 @@ TEST(ParallelEvaluator, ThrowingDisplayCallbackDoesNotStrandWorkers)
     EXPECT_EQ(par.displayLog()[0], "c=0");
 }
 
-TEST(ParallelEvaluator, FactoryBuildsParallelMode)
+TEST(ParallelEvaluator, LptMergeMatchesReferenceDisplayLog)
 {
     netlist::CircuitBuilder b("even_odd");
     auto counter = b.reg("counter", 16);
@@ -316,12 +314,10 @@ TEST(ParallelEvaluator, FactoryBuildsParallelMode)
     b.finish(counter.read() == b.lit(16, 20));
     Netlist nl = b.build();
 
-    EXPECT_STREQ(netlist::evalModeName(EvalMode::Parallel), "parallel");
-    auto par = netlist::makeEvaluator(nl, EvalMode::Parallel,
-                                      {3, MergeAlgo::Lpt});
-    auto ref = netlist::makeEvaluator(nl, EvalMode::Reference);
-    EXPECT_EQ(par->run(100), SimStatus::Finished);
-    EXPECT_EQ(ref->run(100), SimStatus::Finished);
-    EXPECT_EQ(par->cycle(), ref->cycle());
-    EXPECT_EQ(par->displayLog(), ref->displayLog());
+    ParallelCompiledEvaluator par(nl, {3, MergeAlgo::Lpt});
+    Evaluator ref(nl);
+    EXPECT_EQ(par.run(100), SimStatus::Finished);
+    EXPECT_EQ(ref.run(100), SimStatus::Finished);
+    EXPECT_EQ(par.cycle(), ref.cycle());
+    EXPECT_EQ(par.displayLog(), ref.displayLog());
 }

@@ -9,6 +9,8 @@
 
 #include "compiler/compiler.hh"
 #include "engine/adapters.hh"
+#include "engine/crosscheck.hh"
+#include "engine/registry.hh"
 #include "designs/designs.hh"
 #include "isa/encode.hh"
 #include "machine/machine.hh"
@@ -103,22 +105,21 @@ TEST(Runtime, EncodedProgramRunsIdentically)
 
 TEST(Runtime, CrossCheckPassesWithEveryGoldenEngine)
 {
-    // The golden-model engine behind Simulation's lockstep
-    // cross-check is a knob, not hard-coded to the reference
-    // evaluator: all three engines must agree with the machine.
+    // Any registry engine can be the golden model the machine is
+    // lockstepped against: all three evaluators must agree with it.
     compiler::CompileOptions opts;
     opts.config.gridX = opts.config.gridY = 3;
-    for (netlist::EvalMode mode :
-         {netlist::EvalMode::Reference, netlist::EvalMode::Compiled,
-          netlist::EvalMode::Parallel}) {
-        netlist::EvalOptions eopts;
-        eopts.numThreads = 2;
-        runtime::Simulation sim(designs::buildBlur(128), opts, mode,
-                                eopts);
-        EXPECT_EQ(sim.goldenMode(), mode);
-        EXPECT_EQ(sim.runCrossChecked(64), isa::RunStatus::Running)
-            << sim.divergence();
-        EXPECT_TRUE(sim.divergence().empty()) << sim.divergence();
+    netlist::Netlist nl = designs::buildBlur(128);
+    for (const char *name :
+         {"netlist.reference", "netlist.compiled", "netlist.parallel"}) {
+        engine::CreateOptions eopts;
+        eopts.eval.numThreads = 2;
+        runtime::Simulation sim(nl, opts);
+        auto golden = engine::create(name, nl, eopts);
+        engine::CrossCheck harness(*golden, sim.machineEngine());
+        EXPECT_EQ(harness.run(64).status, engine::Status::Running)
+            << harness.divergence();
+        EXPECT_FALSE(harness.diverged()) << harness.divergence();
         EXPECT_EQ(sim.vcycles(), 64u);
     }
 }
@@ -127,11 +128,15 @@ TEST(Runtime, CrossCheckRunsToFinish)
 {
     compiler::CompileOptions opts;
     opts.config.gridX = opts.config.gridY = 2;
-    runtime::Simulation sim(wideDisplayDesign(), opts,
-                            netlist::EvalMode::Parallel, {2});
-    EXPECT_EQ(sim.runCrossChecked(100), isa::RunStatus::Finished)
-        << sim.divergence();
-    EXPECT_TRUE(sim.divergence().empty());
+    netlist::Netlist nl = wideDisplayDesign();
+    runtime::Simulation sim(nl, opts);
+    engine::CreateOptions eopts;
+    eopts.eval.numThreads = 2;
+    auto golden = engine::create("netlist.parallel", nl, eopts);
+    engine::CrossCheck harness(*golden, sim.machineEngine());
+    EXPECT_EQ(harness.run(100).status, engine::Status::Finished)
+        << harness.divergence();
+    EXPECT_FALSE(harness.diverged());
 }
 
 TEST(Runtime, CrossCheckResyncsAfterPlainRun)
@@ -140,13 +145,16 @@ TEST(Runtime, CrossCheckResyncsAfterPlainRun)
     // must catch up instead of reporting a phantom divergence.
     compiler::CompileOptions opts;
     opts.config.gridX = opts.config.gridY = 3;
-    runtime::Simulation sim(designs::buildBlur(128), opts,
-                            netlist::EvalMode::Compiled);
-    EXPECT_EQ(sim.runCrossChecked(8), isa::RunStatus::Running);
+    netlist::Netlist nl = designs::buildBlur(128);
+    runtime::Simulation sim(nl, opts);
+    auto golden = engine::create("netlist.compiled", nl);
+    engine::CrossCheck first(*golden, sim.machineEngine());
+    EXPECT_EQ(first.run(8).status, engine::Status::Running);
     EXPECT_EQ(sim.run(8), isa::RunStatus::Running);
-    EXPECT_EQ(sim.runCrossChecked(8), isa::RunStatus::Running)
-        << sim.divergence();
-    EXPECT_TRUE(sim.divergence().empty()) << sim.divergence();
+    engine::CrossCheck second(*golden, sim.machineEngine());
+    EXPECT_EQ(second.run(8).status, engine::Status::Running)
+        << second.divergence();
+    EXPECT_FALSE(second.diverged()) << second.divergence();
     EXPECT_EQ(sim.vcycles(), 24u);
 }
 
@@ -159,12 +167,14 @@ TEST(Runtime, CrossCheckAgreesOnAssertFailure)
     b.next(c, c.read() + b.lit(16, 1));
     b.assertAlways(b.lit(1, 1), c.read() < b.lit(16, 4),
                    "counter escaped");
+    netlist::Netlist nl = b.build();
     compiler::CompileOptions opts;
     opts.config.gridX = opts.config.gridY = 1;
-    runtime::Simulation sim(b.build(), opts,
-                            netlist::EvalMode::Compiled);
-    EXPECT_EQ(sim.runCrossChecked(100), isa::RunStatus::Failed);
-    EXPECT_TRUE(sim.divergence().empty()) << sim.divergence();
+    runtime::Simulation sim(nl, opts);
+    auto golden = engine::create("netlist.compiled", nl);
+    engine::CrossCheck harness(*golden, sim.machineEngine());
+    EXPECT_EQ(harness.run(100).status, engine::Status::Failed);
+    EXPECT_FALSE(harness.diverged()) << harness.divergence();
     EXPECT_NE(sim.host().failureMessage().find("counter escaped"),
               std::string::npos);
 }

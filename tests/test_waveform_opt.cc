@@ -13,11 +13,10 @@
 #include "designs/designs.hh"
 #include "machine/machine.hh"
 #include "netlist/builder.hh"
+#include "netlist/compiled_evaluator.hh"
 #include "netlist/evaluator.hh"
 #include "netlist/optimize.hh"
 #include "runtime/waveform.hh"
-
-using manticore::netlist::EvalMode;
 
 using namespace manticore;
 
@@ -121,18 +120,20 @@ TEST(Waveform, RecordsFromEitherEvaluatorEngine)
     b.next(count, count.read() + b.lit(8, 1));
     netlist::Netlist nl = b.build();
 
+    netlist::Evaluator ref(nl);
+    netlist::CompiledEvaluator tape(nl);
     std::string vcds[2];
-    for (EvalMode mode : {EvalMode::Reference, EvalMode::Compiled}) {
-        auto eval = netlist::makeEvaluator(nl, mode);
+    netlist::EvaluatorBase *evals[2] = {&ref, &tape};
+    for (int e = 0; e < 2; ++e) {
         runtime::WaveformRecorder wave(nl);
         for (uint64_t v = 0; v < 10; ++v) {
-            eval->step();
-            wave.sample(*eval, v);
+            evals[e]->step();
+            wave.sample(*evals[e], v);
         }
         EXPECT_EQ(wave.changesRecorded(), 10u);
         std::ostringstream os;
         wave.writeVcd(os);
-        vcds[mode == EvalMode::Compiled] = os.str();
+        vcds[e] = os.str();
     }
     // Same design, same stimulus: both engines must produce the
     // byte-identical waveform.
