@@ -4,10 +4,8 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <functional>
 #include <map>
 #include <mutex>
 #include <sstream>
@@ -246,8 +244,10 @@ probeOne(const std::string &cxx)
     return tc;
 }
 
+
 // ---------------------------------------------------------------------------
-// Codegen: one C++ statement per tape instruction, constants baked in
+// Codegen: tape.cc runImpl<L> shapes with the padded lane count L baked
+// in (L == 1 for a scalar object), one statement per tape instruction
 // ---------------------------------------------------------------------------
 
 std::string
@@ -260,226 +260,10 @@ hexU64(uint64_t v)
 }
 
 std::string
-slot(uint32_t off)
-{
-    return "A[" + std::to_string(off) + "]";
-}
-
-std::string
 ptr(uint32_t off)
 {
     return "A + " + std::to_string(off);
 }
-
-/** The (possibly >64-bit) shift amount, mirroring
- *  tape.cc::shiftAmountLane: wide amounts that do not fit 64 bits
- *  shift everything out (spelled as `width`, which both shl/lshr and
- *  the narrow `amt >= width` guard treat as all-out). */
-std::string
-shiftAmount(const tape::Instr &in)
-{
-    if (in.bw <= 64)
-        return slot(in.b);
-    return "(lo::fitsUint64(" + ptr(in.b) + ", " +
-           std::to_string(lo::nlimbs(in.bw)) + "u) ? " + slot(in.b) +
-           " : " + std::to_string(in.width) + "ull)";
-}
-
-/** Emit the statement for one instruction.  Must mirror the L == 1
- *  instantiation of tape.cc's runImpl exactly — the randomized
- *  differential and the CrossCheck matrix pin this. */
-void
-emitInstr(std::ostream &os, const tape::Instr &in,
-          const std::vector<tape::MemState> &mems)
-{
-    using tape::Op;
-    const std::string dst = slot(in.dst);
-    const std::string a = slot(in.a);
-    const std::string b = slot(in.b);
-    const std::string mask = hexU64(in.mask);
-    const std::string W = std::to_string(in.width) + "u";
-    const std::string AW = std::to_string(in.aw) + "u";
-    const std::string BW = std::to_string(in.bw) + "u";
-
-    os << "    ";
-    switch (in.op) {
-      case Op::NAdd:
-        os << dst << " = (" << a << " + " << b << ") & " << mask << ";";
-        break;
-      case Op::NSub:
-        os << dst << " = (" << a << " - " << b << ") & " << mask << ";";
-        break;
-      case Op::NMul:
-        os << dst << " = (" << a << " * " << b << ") & " << mask << ";";
-        break;
-      case Op::NAnd:
-        os << dst << " = " << a << " & " << b << ";";
-        break;
-      case Op::NOr:
-        os << dst << " = " << a << " | " << b << ";";
-        break;
-      case Op::NXor:
-        os << dst << " = " << a << " ^ " << b << ";";
-        break;
-      case Op::NNot:
-        os << dst << " = ~" << a << " & " << mask << ";";
-        break;
-      case Op::NShl:
-        os << "{ u64 amt = " << shiftAmount(in) << "; " << dst
-           << " = amt >= " << in.width << "ull ? 0 : (" << a
-           << " << amt) & " << mask << "; }";
-        break;
-      case Op::NLshr:
-        os << "{ u64 amt = " << shiftAmount(in) << "; " << dst
-           << " = amt >= " << in.width << "ull ? 0 : " << a
-           << " >> amt; }";
-        break;
-      case Op::NEq:
-        os << dst << " = " << a << " == " << b << ";";
-        break;
-      case Op::NUlt:
-        os << dst << " = " << a << " < " << b << ";";
-        break;
-      case Op::NSlt: {
-        std::string sbit = hexU64(1ull << (in.aw - 1));
-        os << dst << " = (" << a << " ^ " << sbit << ") < (" << b
-           << " ^ " << sbit << ");";
-        break;
-      }
-      case Op::NMux:
-        os << dst << " = " << a << " ? " << b << " : " << slot(in.c)
-           << ";";
-        break;
-      case Op::NSlice:
-        os << dst << " = (" << a << " >> " << in.lo << ") & " << mask
-           << ";";
-        break;
-      case Op::NConcat:
-        os << dst << " = (" << a << " << " << in.bw << ") | " << b
-           << ";";
-        break;
-      case Op::NZExt:
-        os << dst << " = " << a << ";";
-        break;
-      case Op::NSExt:
-        if (in.aw < in.width) {
-            std::string sbit = hexU64(1ull << (in.aw - 1));
-            std::string fill = hexU64((~0ull << in.aw) & in.mask);
-            os << "{ u64 v = " << a << "; " << dst << " = (v & " << sbit
-               << ") ? (v | " << fill << ") : v; }";
-        } else {
-            os << dst << " = " << a << ";";
-        }
-        break;
-      case Op::NRedOr:
-        os << dst << " = " << a << " != 0;";
-        break;
-      case Op::NRedAnd:
-        os << dst << " = " << a << " == " << mask << ";";
-        break;
-      case Op::NRedXor:
-        os << dst << " = (u64)(__builtin_popcountll(" << a
-           << ") & 1);";
-        break;
-      case Op::NMemRead:
-        os << dst << " = M[" << in.lo << "][" << a << " % "
-           << mems[in.lo].depth << "ull];";
-        break;
-      case Op::WAdd:
-        os << "lo::add(" << ptr(in.dst) << ", " << ptr(in.a) << ", "
-           << ptr(in.b) << ", " << W << ");";
-        break;
-      case Op::WSub:
-        os << "lo::sub(" << ptr(in.dst) << ", " << ptr(in.a) << ", "
-           << ptr(in.b) << ", " << W << ");";
-        break;
-      case Op::WMul:
-        os << "lo::mul(" << ptr(in.dst) << ", " << ptr(in.a) << ", "
-           << ptr(in.b) << ", " << W << ");";
-        break;
-      case Op::WAnd:
-        os << "lo::bitAnd(" << ptr(in.dst) << ", " << ptr(in.a) << ", "
-           << ptr(in.b) << ", " << W << ");";
-        break;
-      case Op::WOr:
-        os << "lo::bitOr(" << ptr(in.dst) << ", " << ptr(in.a) << ", "
-           << ptr(in.b) << ", " << W << ");";
-        break;
-      case Op::WXor:
-        os << "lo::bitXor(" << ptr(in.dst) << ", " << ptr(in.a) << ", "
-           << ptr(in.b) << ", " << W << ");";
-        break;
-      case Op::WNot:
-        os << "lo::bitNot(" << ptr(in.dst) << ", " << ptr(in.a) << ", "
-           << W << ");";
-        break;
-      case Op::WShl:
-        os << "lo::shl(" << ptr(in.dst) << ", " << ptr(in.a) << ", "
-           << shiftAmount(in) << ", " << W << ");";
-        break;
-      case Op::WLshr:
-        os << "lo::lshr(" << ptr(in.dst) << ", " << ptr(in.a) << ", "
-           << shiftAmount(in) << ", " << W << ");";
-        break;
-      case Op::WEq:
-        os << dst << " = lo::eq(" << ptr(in.a) << ", " << ptr(in.b)
-           << ", " << AW << ");";
-        break;
-      case Op::WUlt:
-        os << dst << " = lo::ult(" << ptr(in.a) << ", " << ptr(in.b)
-           << ", " << AW << ");";
-        break;
-      case Op::WSlt:
-        os << dst << " = lo::slt(" << ptr(in.a) << ", " << ptr(in.b)
-           << ", " << AW << ");";
-        break;
-      case Op::WMux:
-        os << "lo::copy(" << ptr(in.dst) << ", " << a << " ? "
-           << ptr(in.b) << " : " << ptr(in.c) << ", "
-           << lo::nlimbs(in.width) << "u);";
-        break;
-      case Op::WSlice:
-        os << "lo::slice(" << ptr(in.dst) << ", " << ptr(in.a) << ", "
-           << AW << ", " << in.lo << "u, " << W << ");";
-        break;
-      case Op::WConcat:
-        os << "lo::concat(" << ptr(in.dst) << ", " << ptr(in.a) << ", "
-           << ptr(in.b) << ", " << AW << ", " << BW << ");";
-        break;
-      case Op::WZExt:
-        os << "lo::zext(" << ptr(in.dst) << ", " << ptr(in.a) << ", "
-           << W << ", " << AW << ");";
-        break;
-      case Op::WSExt:
-        os << "lo::sext(" << ptr(in.dst) << ", " << ptr(in.a) << ", "
-           << W << ", " << AW << ");";
-        break;
-      case Op::WRedOr:
-        os << dst << " = lo::reduceOr(" << ptr(in.a) << ", " << AW
-           << ");";
-        break;
-      case Op::WRedAnd:
-        os << dst << " = lo::reduceAnd(" << ptr(in.a) << ", " << AW
-           << ");";
-        break;
-      case Op::WRedXor:
-        os << dst << " = lo::reduceXor(" << ptr(in.a) << ", " << AW
-           << ");";
-        break;
-      case Op::WMemRead: {
-        const tape::MemState &m = mems[in.lo];
-        os << "lo::copy(" << ptr(in.dst) << ", M[" << in.lo << "] + ("
-           << a << " % " << m.depth << "ull) * " << m.wordLimbs
-           << "u, " << m.wordLimbs << "u);";
-        break;
-      }
-    }
-    os << "\n";
-}
-
-// ---------------------------------------------------------------------------
-// Laned codegen: tape.cc runImpl<L> shapes with L a baked constant
-// ---------------------------------------------------------------------------
 
 std::string
 laneIdx(uint32_t off, uint32_t stride)
@@ -503,9 +287,12 @@ lanePtr(uint32_t off, uint32_t stride)
 }
 
 /** Per-lane shift amount, mirroring tape.cc::shiftAmountLane (the
- *  lane stride of the amount operand is nlimbs(bw)). */
+ *  lane stride of the amount operand is nlimbs(bw)): wide amounts
+ *  that do not fit 64 bits shift everything out, spelled as `width`,
+ *  which both the kernels and the narrow `amt >= width` guard treat
+ *  as all-out. */
 std::string
-shiftAmountLaned(const tape::Instr &in)
+shiftAmountLane(const tape::Instr &in)
 {
     const uint32_t bs = lo::nlimbs(in.bw);
     if (in.bw <= 64)
@@ -516,13 +303,14 @@ shiftAmountLaned(const tape::Instr &in)
 }
 
 /** Emit the statement(s) for one instruction at compile-time lane
- *  count L > 1.  Must mirror tape.cc's runImpl<L> exactly: narrow
- *  ops call the width-templated laned kernels, wide ops and memory
- *  reads become constant-trip-count per-lane loops with the arena
- *  lane strides baked in. */
+ *  count L (1 for a scalar object).  Must mirror tape.cc's
+ *  runImpl<L> exactly — the randomized differentials and the
+ *  CrossCheck matrix pin this: narrow ops call the width-templated
+ *  laned kernels, wide ops and memory reads become constant-trip-count
+ *  per-lane loops with the arena lane strides baked in. */
 void
-emitInstrLaned(std::ostream &os, const tape::Instr &in,
-               const std::vector<tape::MemState> &mems, unsigned L)
+emitInstr(std::ostream &os, const tape::Instr &in,
+          const std::vector<tape::MemState> &mems, unsigned L)
 {
     using tape::Op;
     const std::string T = "<" + std::to_string(L) + ">";
@@ -568,13 +356,13 @@ emitInstrLaned(std::ostream &os, const tape::Instr &in,
            << ", " << Lu << ");";
         break;
       case Op::NShl:
-        os << FOR << "{ u64 amt = " << shiftAmountLaned(in) << "; "
+        os << FOR << "{ u64 amt = " << shiftAmountLane(in) << "; "
            << laneSlot(in.dst, 1) << " = amt >= " << in.width
            << "ull ? 0 : (" << laneSlot(in.a, 1) << " << amt) & "
            << mask << "; }";
         break;
       case Op::NLshr:
-        os << FOR << "{ u64 amt = " << shiftAmountLaned(in) << "; "
+        os << FOR << "{ u64 amt = " << shiftAmountLane(in) << "; "
            << laneSlot(in.dst, 1) << " = amt >= " << in.width
            << "ull ? 0 : " << laneSlot(in.a, 1) << " >> amt; }";
         break;
@@ -663,7 +451,7 @@ emitInstrLaned(std::ostream &os, const tape::Instr &in,
         const uint32_t s = lo::nlimbs(in.width);
         os << FOR << "lo::" << (in.op == Op::WShl ? "shl" : "lshr")
            << "(" << lanePtr(in.dst, s) << ", " << lanePtr(in.a, s)
-           << ", " << shiftAmountLaned(in) << ", " << W << ");";
+           << ", " << shiftAmountLane(in) << ", " << W << ");";
         break;
       }
       case Op::WEq:
@@ -737,16 +525,6 @@ emitInstrLaned(std::ostream &os, const tape::Instr &in,
     os << "\n";
 }
 
-void
-emitStmt(std::ostream &os, const tape::Instr &in,
-         const std::vector<tape::MemState> &mems, unsigned lanes)
-{
-    if (lanes == 1)
-        emitInstr(os, in, mems);
-    else
-        emitInstrLaned(os, in, mems, lanes);
-}
-
 // ---------------------------------------------------------------------------
 // Translation units: single combined, per-chunk, and the chunk driver
 // ---------------------------------------------------------------------------
@@ -805,7 +583,7 @@ emitUnit(const EmitSpec &spec)
               "    (void)A; (void)M;\n";
         size_t end = std::min(spec.count, (c + 1) * kChunk);
         for (size_t i = c * kChunk; i < end; ++i)
-            emitStmt(os, spec.instrs[i], *spec.mems, spec.lanes);
+            emitInstr(os, spec.instrs[i], *spec.mems, spec.lanes);
         os << "}\n\n";
     }
     os << "extern \"C\" void " << spec.entry
@@ -830,7 +608,7 @@ emitChunkTU(const EmitSpec &spec, size_t c)
           "    (void)A; (void)M;\n";
     size_t end = std::min(spec.count, (c + 1) * kChunk);
     for (size_t i = c * kChunk; i < end; ++i)
-        emitStmt(os, spec.instrs[i], *spec.mems, spec.lanes);
+        emitInstr(os, spec.instrs[i], *spec.mems, spec.lanes);
     os << "}\n";
     return os.str();
 }
@@ -857,7 +635,7 @@ emitDriverTU(const EmitSpec &spec, size_t chunks)
 }
 
 // ---------------------------------------------------------------------------
-// Cache keys and concurrent compilation
+// The builder: cache keys, concurrent compilation, loading
 // ---------------------------------------------------------------------------
 
 /** Content-addressed cache key: the canonical generated source
@@ -880,34 +658,58 @@ objectKey(const std::string &source,
     return hashHex(hash);
 }
 
-unsigned
-buildJobs(unsigned requested, size_t tasks)
+/** One compiler invocation of a cold build: write `text` to `src`,
+ *  then run `argv`.  A step records its outcome only into itself, so
+ *  the steps of one pool share nothing. */
+struct CompileStep
 {
-    unsigned jobs = requested != 0
-                        ? requested
-                        : std::max(1u, std::thread::hardware_concurrency());
-    return static_cast<unsigned>(
-        std::min<size_t>(jobs, std::max<size_t>(tasks, 1)));
+    size_t cold; ///< index of the cold object it belongs to
+    std::string src;
+    std::string text;
+    std::vector<std::string> argv;
+    bool ran = false;
+    std::string error{};
+};
+
+std::vector<std::string>
+compileArgv(const AotToolchain &tc, const std::vector<std::string> &flags,
+            std::vector<std::string> extra)
+{
+    std::vector<std::string> argv{tc.compiler};
+    argv.insert(argv.end(), flags.begin(), flags.end());
+    argv.push_back("-I");
+    argv.push_back(includeDir());
+    argv.insert(argv.end(), extra.begin(), extra.end());
+    return argv;
 }
 
-/** Run the tasks on up to `jobs` threads (the caller's thread is one
- *  of them).  Tasks invoke support/subprocess, which is fork/exec —
- *  safe from concurrent std::threads. */
-void
-runConcurrently(std::vector<std::function<void()>> tasks, unsigned jobs)
+/** Run the steps on up to `requested_jobs` threads (0 = hardware
+ *  concurrency; the caller's thread is one of them) and return how
+ *  many reached the compiler.  The steps invoke support/subprocess,
+ *  which is fork/exec — safe from concurrent std::threads. */
+unsigned
+runSteps(std::vector<CompileStep> &steps, unsigned requested_jobs)
 {
-    if (tasks.empty())
-        return;
-    if (jobs <= 1) {
-        for (auto &task : tasks)
-            task();
-        return;
-    }
+    auto run = [](CompileStep &s) {
+        if (!writeFileAtomic(s.src, s.text)) {
+            s.error = "cannot write " + s.src;
+            return;
+        }
+        s.ran = true;
+        CommandResult res = runCommand(s.argv);
+        if (!res.ok())
+            s.error = s.argv.front() + " failed on " + s.src + " (" +
+                      firstLine(res.output) + ")";
+    };
+    unsigned jobs = requested_jobs != 0
+                        ? requested_jobs
+                        : std::max(1u, std::thread::hardware_concurrency());
+    jobs = static_cast<unsigned>(std::min<size_t>(jobs, steps.size()));
     std::atomic<size_t> next{0};
     auto worker = [&] {
-        for (size_t i = next.fetch_add(1); i < tasks.size();
+        for (size_t i = next.fetch_add(1); i < steps.size();
              i = next.fetch_add(1))
-            tasks[i]();
+            run(steps[i]);
     };
     std::vector<std::thread> threads;
     for (unsigned j = 1; j < jobs; ++j)
@@ -915,21 +717,178 @@ runConcurrently(std::vector<std::function<void()>> tasks, unsigned jobs)
     worker();
     for (std::thread &t : threads)
         t.join();
+    return static_cast<unsigned>(
+        std::count_if(steps.begin(), steps.end(),
+                      [](const CompileStep &s) { return s.ran; }));
 }
 
-CommandResult
-runCompile(const std::string &cxx, const std::vector<std::string> &flags,
-           const std::vector<std::string> &extra)
+/** dlopen `path`, check its embedded manticore_aot_key against
+ *  `object.key` and resolve `entry`; on success install the handle,
+ *  cycle function and path.  RTLD_LOCAL keeps every object's key and
+ *  entry point out of the global namespace, so any number of objects
+ *  coexist in one process. */
+bool
+loadObject(AotObject &object, const std::string &path,
+           const std::string &entry)
 {
-    std::vector<std::string> argv{cxx};
-    argv.insert(argv.end(), flags.begin(), flags.end());
-    argv.push_back("-I");
-    argv.push_back(includeDir());
-    argv.insert(argv.end(), extra.begin(), extra.end());
-    return runCommand(argv);
+    std::unique_ptr<void, AotObject::Unload> handle(
+        dlopen(path.c_str(), RTLD_NOW | RTLD_LOCAL));
+    if (!handle)
+        return false;
+    const char *key = static_cast<const char *>(
+        dlsym(handle.get(), "manticore_aot_key"));
+    void *fn = dlsym(handle.get(), entry.c_str());
+    if (!key || !fn || object.key != key)
+        return false;
+    object.handle = std::move(handle);
+    object.fn = reinterpret_cast<AotObject::CycleFn>(fn);
+    object.path = path;
+    return true;
+}
+
+/** The one AOT builder: object i is emitted from specs[i] (the whole
+ *  tape for netlist.aot, one partition tape each for
+ *  netlist.parallel.aot) and installed into objects[i].  Each object
+ *  is keyed from its canonical unit and loaded from the cache when an
+ *  object with a matching embedded key is there; otherwise it is
+ *  cold-built — a tape of one chunk in one compiler invocation, a
+ *  longer one as one TU per chunk plus a driver link.  All cold
+ *  compiles of all objects share one pool bounded by aotJobs and the
+ *  links run after them; every finished object is then renamed into
+ *  the cache and loaded on the calling thread.  An object that fails
+ *  degrades alone, with one warning, and keeps a null cycle function.
+ *  Returns the compiler invocations performed. */
+unsigned
+buildObjects(const char *engine, const std::vector<EmitSpec> &specs,
+             const EvalOptions &options, AotObject *objects)
+{
+    if (specs.empty())
+        return 0;
+    const AotToolchain &tc = aotToolchain(options.aotCompiler);
+    if (!tc.ok) {
+        MANTICORE_WARN(engine, ": ", tc.message,
+                       "; falling back to the interpreted tape");
+        return 0;
+    }
+    std::string dir = aotResolveCacheDir(options);
+    std::error_code ec;
+    fs::create_directories(dir, ec);
+    if (ec) {
+        MANTICORE_WARN(engine, ": cannot create cache dir ", dir, " (",
+                       ec.message(),
+                       "); falling back to the interpreted tape");
+        return 0;
+    }
+
+    // Pass 1: key every object and take the warm ones from the cache
+    // (a truncated / corrupted / stale entry fails the load and is
+    // rebuilt); plan the cold builds.
+    struct Cold
+    {
+        size_t object;
+        std::string path, tmp;
+        std::vector<std::string> chunkObjects;
+        std::string error;
+    };
+    std::vector<Cold> cold;
+    std::vector<CompileStep> compiles, links;
+    for (size_t i = 0; i < specs.size(); ++i) {
+        const EmitSpec &spec = specs[i];
+        AotObject &object = objects[i];
+        const std::vector<std::string> flags = objectFlags(tc, spec.lanes);
+        const std::string source = emitUnit(spec);
+        object.key = objectKey(source, flags, tc);
+        const std::string stem = dir + "/manticore-aot-" + object.key;
+        const std::string path = stem + ".so";
+        if (fs::exists(path, ec) && loadObject(object, path, spec.entry)) {
+            object.cacheHit = true;
+            continue;
+        }
+        fs::remove(path, ec);
+
+        const std::string key_line =
+            "\nextern \"C\" const char manticore_aot_key[] = \"" +
+            object.key + "\";\n";
+        Cold c{i, path, path + tmpSuffix(), {}, {}};
+        const size_t chunks = chunkCountOf(spec.count);
+        if (chunks <= 1) {
+            compiles.push_back(
+                {cold.size(), stem + ".cc", source + key_line,
+                 compileArgv(tc, flags,
+                             {"-shared", stem + ".cc", "-o", c.tmp})});
+        } else {
+            const std::string driver = stem + ".driver.cc";
+            std::vector<std::string> link{"-shared", driver};
+            for (size_t k = 0; k < chunks; ++k) {
+                const std::string src =
+                    stem + ".chunk" + std::to_string(k) + ".cc";
+                const std::string obj =
+                    c.tmp + "." + std::to_string(k) + ".o";
+                compiles.push_back(
+                    {cold.size(), src, emitChunkTU(spec, k),
+                     compileArgv(tc, flags, {"-c", src, "-o", obj})});
+                c.chunkObjects.push_back(obj);
+                link.push_back(obj);
+            }
+            link.push_back("-o");
+            link.push_back(c.tmp);
+            links.push_back({cold.size(), driver,
+                             emitDriverTU(spec, chunks) + key_line,
+                             compileArgv(tc, flags, std::move(link))});
+        }
+        cold.push_back(std::move(c));
+    }
+
+    // Pass 2: every cold compile in one pool, then the links of the
+    // chunked objects whose chunks all compiled.
+    auto collect = [&](const std::vector<CompileStep> &steps) {
+        for (const CompileStep &s : steps)
+            if (cold[s.cold].error.empty())
+                cold[s.cold].error = s.error;
+    };
+    unsigned runs = runSteps(compiles, options.aotJobs);
+    collect(compiles);
+    links.erase(std::remove_if(links.begin(), links.end(),
+                               [&](const CompileStep &s) {
+                                   return !cold[s.cold].error.empty();
+                               }),
+                links.end());
+    runs += runSteps(links, options.aotJobs);
+    collect(links);
+
+    // Pass 3: rename each built object into the cache and load it.
+    for (Cold &c : cold) {
+        for (const std::string &obj : c.chunkObjects)
+            fs::remove(obj, ec);
+        if (c.error.empty()) {
+            fs::rename(c.tmp, c.path, ec);
+            if (ec)
+                c.error = "cannot rename " + c.tmp + " into the cache (" +
+                          ec.message() + ")";
+            else if (!loadObject(objects[c.object], c.path,
+                                 specs[c.object].entry))
+                c.error = "cannot load " + c.path;
+        }
+        if (c.error.empty())
+            continue;
+        fs::remove(c.tmp, ec);
+        MANTICORE_WARN(engine,
+                       specs.size() > 1
+                           ? ": partition " + std::to_string(c.object)
+                           : std::string(),
+                       ": ", c.error,
+                       "; falling back to the interpreted tape");
+    }
+    return runs;
 }
 
 } // namespace
+
+void
+AotObject::Unload::operator()(void *handle) const
+{
+    dlclose(handle);
+}
 
 const AotToolchain &
 aotToolchain(const std::string &override_compiler)
@@ -988,209 +947,41 @@ aotHostCpuModel()
     return kModel;
 }
 
+// ---------------------------------------------------------------------------
+// AotEvaluator: one object for the whole tape
+// ---------------------------------------------------------------------------
+
 AotEvaluator::AotEvaluator(Netlist netlist, const EvalOptions &options)
     : CompiledEvaluator(std::move(netlist), options)
 {
     _memTable.reserve(_mems.size());
     for (const tape::MemState &m : _mems)
         _memTable.push_back(m.words.data());
-    build(options);
-}
-
-AotEvaluator::~AotEvaluator()
-{
-    if (_handle)
-        dlclose(_handle);
+    _compilerRuns = buildObjects(
+        "netlist.aot",
+        {{_tape.data(), _tape.size(), &_mems, _padded,
+          "manticore_aot_cycle"}},
+        options, &_object);
 }
 
 std::string
 AotEvaluator::emitSource() const
 {
-    EmitSpec spec{_tape.data(), _tape.size(), &_mems, _padded,
-                  "manticore_aot_cycle"};
-    return emitUnit(spec);
-}
-
-bool
-AotEvaluator::load(const std::string &path)
-{
-    void *handle = dlopen(path.c_str(), RTLD_NOW | RTLD_LOCAL);
-    if (!handle)
-        return false;
-    const char *key =
-        static_cast<const char *>(dlsym(handle, "manticore_aot_key"));
-    void *fn = dlsym(handle, "manticore_aot_cycle");
-    if (!key || !fn || _key != key) {
-        dlclose(handle);
-        return false;
-    }
-    _handle = handle;
-    _cycleFn = reinterpret_cast<CycleFn>(fn);
-    _objectPath = path;
-    return true;
-}
-
-void
-AotEvaluator::build(const EvalOptions &options)
-{
-    const AotToolchain &tc = aotToolchain(options.aotCompiler);
-    if (!tc.ok) {
-        MANTICORE_WARN("netlist.aot: ", tc.message,
-                       "; falling back to the interpreted tape");
-        return;
-    }
-
-    const std::vector<std::string> flags = objectFlags(tc, _padded);
-    std::string source = emitSource();
-    _key = objectKey(source, flags, tc);
-
-    std::string dir = aotResolveCacheDir(options);
-    std::error_code ec;
-    fs::create_directories(dir, ec);
-    if (ec) {
-        MANTICORE_WARN("netlist.aot: cannot create cache dir ", dir,
-                       " (", ec.message(),
-                       "); falling back to the interpreted tape");
-        return;
-    }
-    std::string stem = dir + "/manticore-aot-" + _key;
-    std::string obj = stem + ".so";
-
-    // Warm path: a cached object whose embedded key matches.  A
-    // truncated / corrupted / stale entry fails load() and is
-    // rebuilt below.
-    if (fs::exists(obj, ec) && load(obj)) {
-        _cacheHit = true;
-        return;
-    }
-    fs::remove(obj, ec);
-
-    const std::string key_line =
-        "\nextern \"C\" const char manticore_aot_key[] = \"" + _key +
-        "\";\n";
-    std::string obj_tmp = obj + tmpSuffix();
-    EmitSpec spec{_tape.data(), _tape.size(), &_mems, _padded,
-                  "manticore_aot_cycle"};
-    const size_t chunks = chunkCountOf(_tape.size());
-
-    if (chunks <= 1) {
-        // One-chunk tape: a single combined compile+link invocation.
-        std::string src = stem + ".cc";
-        if (!writeFileAtomic(src, source + key_line)) {
-            MANTICORE_WARN("netlist.aot: cannot write ", src,
-                           "; falling back to the interpreted tape");
-            return;
-        }
-        ++_compilerRuns;
-        CommandResult res = runCompile(tc.compiler, flags,
-                                       {"-shared", src, "-o", obj_tmp});
-        if (!res.ok()) {
-            fs::remove(obj_tmp, ec);
-            MANTICORE_WARN("netlist.aot: ", tc.compiler,
-                           " failed on the generated source (",
-                           firstLine(res.output),
-                           "); falling back to the interpreted tape");
-            return;
-        }
-    } else {
-        // Cold-start concurrency: every ≤1024-statement chunk is its
-        // own translation unit; the chunk TUs compile through
-        // concurrent subprocess invocations (bounded by aotJobs),
-        // then the driver TU is compiled into the link step.
-        std::vector<std::string> chunk_objs(chunks);
-        std::vector<std::function<void()>> tasks;
-        std::atomic<unsigned> runs{0};
-        std::atomic<bool> failed{false};
-        std::mutex err_mutex;
-        std::string error;
-        for (size_t c = 0; c < chunks; ++c) {
-            std::string csrc =
-                stem + ".chunk" + std::to_string(c) + ".cc";
-            std::string cobj = obj_tmp + "." + std::to_string(c) + ".o";
-            chunk_objs[c] = cobj;
-            std::string csource = emitChunkTU(spec, c);
-            tasks.push_back([csrc, cobj, csource, &flags, &runs,
-                             &failed, &err_mutex, &error,
-                             compiler = tc.compiler] {
-                if (failed.load(std::memory_order_relaxed))
-                    return;
-                if (!writeFileAtomic(csrc, csource)) {
-                    std::lock_guard<std::mutex> lock(err_mutex);
-                    if (error.empty())
-                        error = "cannot write " + csrc;
-                    failed.store(true, std::memory_order_relaxed);
-                    return;
-                }
-                runs.fetch_add(1, std::memory_order_relaxed);
-                CommandResult res = runCompile(
-                    compiler, flags, {"-c", csrc, "-o", cobj});
-                if (!res.ok()) {
-                    std::lock_guard<std::mutex> lock(err_mutex);
-                    if (error.empty())
-                        error = firstLine(res.output);
-                    failed.store(true, std::memory_order_relaxed);
-                }
-            });
-        }
-        runConcurrently(std::move(tasks),
-                        buildJobs(options.aotJobs, chunks));
-        _compilerRuns += runs.load();
-        if (failed.load()) {
-            for (const std::string &o : chunk_objs)
-                fs::remove(o, ec);
-            MANTICORE_WARN("netlist.aot: ", tc.compiler,
-                           " failed on the generated source (", error,
-                           "); falling back to the interpreted tape");
-            return;
-        }
-        std::string dsrc = stem + ".driver.cc";
-        if (!writeFileAtomic(dsrc, emitDriverTU(spec, chunks) +
-                                       key_line)) {
-            for (const std::string &o : chunk_objs)
-                fs::remove(o, ec);
-            MANTICORE_WARN("netlist.aot: cannot write ", dsrc,
-                           "; falling back to the interpreted tape");
-            return;
-        }
-        std::vector<std::string> link{"-shared", dsrc};
-        for (const std::string &o : chunk_objs)
-            link.push_back(o);
-        link.push_back("-o");
-        link.push_back(obj_tmp);
-        ++_compilerRuns;
-        CommandResult res = runCompile(tc.compiler, flags, link);
-        for (const std::string &o : chunk_objs)
-            fs::remove(o, ec);
-        if (!res.ok()) {
-            fs::remove(obj_tmp, ec);
-            MANTICORE_WARN("netlist.aot: ", tc.compiler,
-                           " failed linking the chunk objects (",
-                           firstLine(res.output),
-                           "); falling back to the interpreted tape");
-            return;
-        }
-    }
-
-    fs::rename(obj_tmp, obj, ec);
-    if (ec || !load(obj)) {
-        fs::remove(obj_tmp, ec);
-        MANTICORE_WARN("netlist.aot: cannot load ", obj,
-                       "; falling back to the interpreted tape");
-        return;
-    }
+    return emitUnit({_tape.data(), _tape.size(), &_mems, _padded,
+                     "manticore_aot_cycle"});
 }
 
 void
 AotEvaluator::evalCycle()
 {
-    if (_cycleFn)
-        _cycleFn(_arena.data(), _memTable.data());
+    if (_object.fn)
+        _object.fn(_arena.data(), _memTable.data());
     else
         CompiledEvaluator::evalCycle();
 }
 
 // ---------------------------------------------------------------------------
-// AotParallelEvaluator: per-partition compiled objects
+// AotParallelEvaluator: one object per partition tape
 // ---------------------------------------------------------------------------
 
 AotParallelEvaluator::AotParallelEvaluator(Netlist netlist,
@@ -1206,185 +997,41 @@ AotParallelEvaluator::AotParallelEvaluator(Netlist netlist,
     _memTable.reserve(mems.size());
     for (const tape::MemState &m : mems)
         _memTable.push_back(m.words.data());
-    _parts.resize(numProcesses());
-    buildAll(options);
-}
-
-AotParallelEvaluator::~AotParallelEvaluator()
-{
-    // Workers are parked between batches and the base destructor
-    // makes them exit without touching the tapes again, so nothing
-    // can be inside a compiled cycle function while we unload.
-    for (Part &p : _parts)
-        if (p.handle)
-            dlclose(p.handle);
-}
-
-std::string
-AotParallelEvaluator::emitPartitionSource(size_t proc_index) const
-{
-    const std::vector<tape::Instr> &tape = procTape(proc_index);
-    EmitSpec spec{tape.data(), tape.size(), &memStates(),
-                  paddedLanes(),
-                  "manticore_aot_cycle_p" + std::to_string(proc_index)};
-    return emitUnit(spec);
+    std::vector<EmitSpec> specs;
+    for (size_t p = 0; p < numProcesses(); ++p)
+        specs.push_back({procTape(p).data(), procTape(p).size(), &mems,
+                         paddedLanes(),
+                         "manticore_aot_cycle_p" + std::to_string(p)});
+    _objects.resize(specs.size());
+    _compilerRuns = buildObjects("netlist.parallel.aot", specs, options,
+                                 _objects.data());
+    _aotParts = static_cast<unsigned>(
+        std::count_if(_objects.begin(), _objects.end(),
+                      [](const AotObject &o) { return o.fn != nullptr; }));
 }
 
 const std::string &
 AotParallelEvaluator::partitionKey(size_t proc_index) const
 {
-    MANTICORE_ASSERT(proc_index < _parts.size(), "partition ",
+    MANTICORE_ASSERT(proc_index < _objects.size(), "partition ",
                      proc_index, " out of range");
-    return _parts[proc_index].key;
+    return _objects[proc_index].key;
 }
 
 const std::string &
 AotParallelEvaluator::partitionObject(size_t proc_index) const
 {
-    MANTICORE_ASSERT(proc_index < _parts.size(), "partition ",
+    MANTICORE_ASSERT(proc_index < _objects.size(), "partition ",
                      proc_index, " out of range");
-    return _parts[proc_index].object;
-}
-
-bool
-AotParallelEvaluator::loadPart(size_t proc_index,
-                               const std::string &path)
-{
-    // RTLD_LOCAL keeps each object's manticore_aot_key (and entry
-    // point) out of the global namespace, so K partition objects
-    // coexist in one process.
-    void *handle = dlopen(path.c_str(), RTLD_NOW | RTLD_LOCAL);
-    if (!handle)
-        return false;
-    const char *key =
-        static_cast<const char *>(dlsym(handle, "manticore_aot_key"));
-    std::string entry =
-        "manticore_aot_cycle_p" + std::to_string(proc_index);
-    void *fn = dlsym(handle, entry.c_str());
-    if (!key || !fn || _parts[proc_index].key != key) {
-        dlclose(handle);
-        return false;
-    }
-    _parts[proc_index].handle = handle;
-    _parts[proc_index].fn = reinterpret_cast<CycleFn>(fn);
-    _parts[proc_index].object = path;
-    ++_aotParts;
-    return true;
-}
-
-void
-AotParallelEvaluator::buildAll(const EvalOptions &options)
-{
-    const size_t n = _parts.size();
-    if (n == 0)
-        return;
-
-    const AotToolchain &tc = aotToolchain(options.aotCompiler);
-    if (!tc.ok) {
-        MANTICORE_WARN("netlist.parallel.aot: ", tc.message,
-                       "; falling back to the interpreted tapes");
-        return;
-    }
-
-    const std::vector<std::string> flags =
-        objectFlags(tc, paddedLanes());
-    std::string dir = aotResolveCacheDir(options);
-    std::error_code ec;
-    fs::create_directories(dir, ec);
-    if (ec) {
-        MANTICORE_WARN("netlist.parallel.aot: cannot create cache dir ",
-                       dir, " (", ec.message(),
-                       "); falling back to the interpreted tapes");
-        return;
-    }
-
-    // Pass 1 (master): emit every partition's source, compute its
-    // key (each hashes that partition's own tape slice, so one
-    // partition's corruption rebuilds one object), try the cache.
-    struct Cold
-    {
-        size_t p;
-        std::string src_text, src, obj, obj_tmp;
-    };
-    std::vector<Cold> cold;
-    for (size_t p = 0; p < n; ++p) {
-        std::string source = emitPartitionSource(p);
-        _parts[p].key = objectKey(source, flags, tc);
-        std::string stem = dir + "/manticore-aot-" + _parts[p].key;
-        std::string obj = stem + ".so";
-        if (fs::exists(obj, ec) && loadPart(p, obj))
-            continue;
-        fs::remove(obj, ec);
-        Cold c;
-        c.p = p;
-        c.src_text = source +
-                     "\nextern \"C\" const char manticore_aot_key[] = "
-                     "\"" +
-                     _parts[p].key + "\";\n";
-        c.src = stem + ".cc";
-        c.obj = obj;
-        c.obj_tmp = obj + tmpSuffix();
-        cold.push_back(std::move(c));
-    }
-
-    // Pass 2: cold builds run the toolchain concurrently — one
-    // subprocess per partition object, bounded by aotJobs.
-    std::atomic<unsigned> runs{0};
-    std::vector<std::string> errors(n);
-    std::vector<uint8_t> built(n, 0);
-    std::vector<std::function<void()>> tasks;
-    for (const Cold &c : cold) {
-        tasks.push_back([&c, &flags, &runs, &errors, &built,
-                         compiler = tc.compiler] {
-            std::error_code tec;
-            if (!writeFileAtomic(c.src, c.src_text)) {
-                errors[c.p] = "cannot write " + c.src;
-                return;
-            }
-            runs.fetch_add(1, std::memory_order_relaxed);
-            CommandResult res = runCompile(
-                compiler, flags, {"-shared", c.src, "-o", c.obj_tmp});
-            if (!res.ok()) {
-                fs::remove(c.obj_tmp, tec);
-                errors[c.p] = firstLine(res.output);
-                return;
-            }
-            fs::rename(c.obj_tmp, c.obj, tec);
-            if (tec) {
-                errors[c.p] = "cannot rename " + c.obj_tmp +
-                              " into the cache (" + tec.message() + ")";
-                fs::remove(c.obj_tmp, tec);
-                return;
-            }
-            built[c.p] = 1;
-        });
-    }
-    runConcurrently(std::move(tasks),
-                    buildJobs(options.aotJobs, cold.size()));
-    _compilerRuns += runs.load();
-
-    // Pass 3 (master): dlopen the freshly built objects; a partition
-    // whose object failed degrades alone — its computeTape stays on
-    // the interpreted tape.
-    for (const Cold &c : cold) {
-        if (built[c.p] && loadPart(c.p, c.obj))
-            continue;
-        MANTICORE_WARN(
-            "netlist.parallel.aot: partition ", c.p, ": ",
-            errors[c.p].empty()
-                ? std::string("object failed to load/verify")
-                : errors[c.p],
-            "; falling back to the interpreted tape");
-    }
-    _usingAot = _aotParts == n;
+    return _objects[proc_index].path;
 }
 
 void
 AotParallelEvaluator::computeTape(size_t proc_index)
 {
-    const Part &part = _parts[proc_index];
-    if (part.fn)
-        part.fn(arenaData(), _memTable.data());
+    const AotObject &object = _objects[proc_index];
+    if (object.fn)
+        object.fn(arenaData(), _memTable.data());
     else
         ParallelCompiledEvaluator::computeTape(proc_index);
 }

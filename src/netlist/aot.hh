@@ -21,29 +21,45 @@
  * batched run(n) — is inherited unchanged, so the AOT engine cannot
  * drift semantically from the interpreted tape.
  *
- * **Laned ensembles.**  With EvalOptions::lanes == N the emitted
- * source takes the (padded) lane count as a compile-time constant:
- * narrow ops become calls to the width-templated laned kernels
- * (lo::addN<L> and friends) and wide ops become constant-trip-count
- * per-lane loops with the exec::Arena lane strides baked in — the
- * same shapes as tape.cc's runImpl<L>, so the laned object is
- * semantically pinned to the interpreted ensemble.  Laned objects
- * compile -O3 plus the probed SIMD flags (-march=native where
- * supported), like the manticore_simd kernels, so AOT ensembles
- * vectorize instead of falling back to a scalar loop.
+ * **One emitter.**  The emitted source takes the padded lane count L
+ * (EvalOptions::lanes, padded; 1 for a single simulation) as a
+ * compile-time constant and has the shapes of tape.cc's runImpl<L>,
+ * so every object is semantically pinned to the interpreted tape:
+ * narrow ops become calls to the width-templated laned kernels and
+ * wide ops become constant-trip-count per-lane loops with the
+ * exec::Arena lane strides baked in.  A scalar 16-bit add is
+ *
+ *     lo::addN<1>(A + 2, A + 0, A + 1, 0xffffull, 1u);
+ *
+ * and the same op at 8 lanes is lo::addN<8>(..., 8u).  Scalar objects
+ * compile with fixed -O2 flags, so every host build configuration
+ * shares them; laned objects compile -O3 plus the probed SIMD flags
+ * (-march=native where supported), like the manticore_simd kernels,
+ * so AOT ensembles vectorize instead of falling back to a scalar
+ * loop.
  *
  * **Per-partition objects.**  AotParallelEvaluator extends the
  * partition-parallel engine the same way: each partition's tape is
- * emitted as its own translation unit exposing
+ * emitted as its own object exposing
  *
  *     extern "C" void manticore_aot_cycle_p<K>(uint64_t *A,
  *                                              const uint64_t *const *M);
  *
- * compiled into its own cached object (cold builds for K partitions
- * run the toolchain concurrently), and dispatched behind
- * ParallelCompiledEvaluator::computeTape() — workers run
- * straight-line compiled code inside the existing two-barrier
- * Vcycle, with the commit/rendezvous protocol untouched.
+ * and dispatched behind ParallelCompiledEvaluator::computeTape() —
+ * workers run straight-line compiled code inside the existing
+ * two-barrier Vcycle, with the commit/rendezvous protocol untouched.
+ *
+ * **One builder.**  Both engines build their objects through the
+ * same path: emit an object's canonical unit, hash it into a key,
+ * load a cached object whose embedded key matches, else cold-build
+ * it.  A tape of at most 1024 statements builds in one compiler
+ * invocation; a longer tape — the single engine's or one partition's
+ * — is emitted as one translation unit per ≤1024-statement chunk
+ * plus a driver that the link step compiles.  All cold compiles of
+ * all of an engine's objects run through concurrent
+ * support/subprocess invocations in one pool bounded by
+ * EvalOptions::aotJobs (0 = hardware concurrency), and the links run
+ * after them.
  *
  * **Object cache.**  Compiled objects are cached on disk, keyed by a
  * content hash (FNV-1a 64) of (generated source, limbops.hh content,
@@ -59,12 +75,6 @@
  * check, is unlinked, and is rebuilt.  Cache directory resolution:
  * EvalOptions::aotCacheDir, else $MANTICORE_AOT_CACHE, else
  * ${TMPDIR:-/tmp}/manticore-aot-cache-<uid>.
- *
- * **Cold-start concurrency.**  Large tapes are emitted as ≤1024-
- * statement chunk functions; each chunk is its own translation unit
- * and the chunk TUs (like the K per-partition objects) compile
- * through concurrent support/subprocess invocations, bounded by
- * EvalOptions::aotJobs (0 = hardware concurrency).
  *
  * **Degradation.**  Direct construction degrades gracefully: if the
  * toolchain probe, the compile or the dlopen fails, the evaluator
@@ -82,6 +92,7 @@
 #ifndef MANTICORE_NETLIST_AOT_HH
 #define MANTICORE_NETLIST_AOT_HH
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -107,6 +118,28 @@ struct AotToolchain
     std::vector<std::string> simdFlags;
 };
 
+/** One dlopen'd AOT object as an evaluator holds it: netlist.aot
+ *  keeps one, netlist.parallel.aot one per partition. */
+struct AotObject
+{
+    using CycleFn = void (*)(uint64_t *, const uint64_t *const *);
+    /// Closes the handle with dlclose().
+    struct Unload
+    {
+        void operator()(void *handle) const;
+    };
+
+    /// The installed cycle function; null on the interpreted fallback.
+    CycleFn fn = nullptr;
+    std::unique_ptr<void, Unload> handle;
+    /// Cache key (16 hex digits); "" when no toolchain works.
+    std::string key;
+    /// Path of the cached shared object; "" on fallback.
+    std::string path;
+    /// Loaded from the on-disk cache without invoking the compiler.
+    bool cacheHit = false;
+};
+
 /** Probe the host toolchain (memoized per override string, so the
  *  compile-and-dlopen probe runs once per process).  Candidates, in
  *  order: `override_compiler` if non-empty, else $MANTICORE_AOT_CXX,
@@ -127,31 +160,29 @@ class AotEvaluator : public CompiledEvaluator
   public:
     /** Lowers the netlist (CompiledEvaluator), then emits, compiles
      *  (or loads from cache) and installs the AOT cycle function at
-     *  the padded ensemble width (scalar when lanes == 1).  Any
-     *  failure along the toolchain path warns and leaves the
-     *  interpreted tape in place. */
+     *  the padded ensemble width.  Any failure along the toolchain
+     *  path warns and leaves the interpreted tape in place. */
     explicit AotEvaluator(Netlist netlist,
                           const EvalOptions &options = {});
-    ~AotEvaluator() override;
 
     AotEvaluator(const AotEvaluator &) = delete;
     AotEvaluator &operator=(const AotEvaluator &) = delete;
 
     /** True when the dlopen'd cycle function is installed (false on
      *  the interpreted-tape fallback path). */
-    bool usingAot() const { return _cycleFn != nullptr; }
+    bool usingAot() const { return _object.fn != nullptr; }
     /** Compiler invocations this construction performed: 0 on a
-     *  cache hit or fallback; a cold build runs one invocation per
-     *  ≤1024-statement chunk TU plus the link (a single combined
-     *  invocation for one-chunk tapes). */
+     *  cache hit or fallback; a cold build of a tape of at most 1024
+     *  statements runs one invocation, a longer one runs one per
+     *  ≤1024-statement chunk TU plus the link. */
     unsigned compilerInvocations() const { return _compilerRuns; }
     /** True when the object was loaded from the on-disk cache
      *  without invoking the compiler. */
-    bool cacheHit() const { return _cacheHit; }
+    bool cacheHit() const { return _object.cacheHit; }
     /** Cache key (16 hex digits) of this design's object. */
-    const std::string &cacheKey() const { return _key; }
+    const std::string &cacheKey() const { return _object.key; }
     /** Path of the cached shared object ("" on fallback). */
-    const std::string &objectPath() const { return _objectPath; }
+    const std::string &objectPath() const { return _object.path; }
 
     /** The generated C++ (without the trailing key definition), at
      *  this evaluator's padded lane width: exposed for tests and the
@@ -162,89 +193,68 @@ class AotEvaluator : public CompiledEvaluator
     void evalCycle() override;
 
   private:
-    using CycleFn = void (*)(uint64_t *, const uint64_t *const *);
-
-    void build(const EvalOptions &options);
-    /** dlopen `path`, verify the embedded key, resolve the entry
-     *  point.  Returns false (and closes the handle) on any
-     *  mismatch. */
-    bool load(const std::string &path);
-
-    CycleFn _cycleFn = nullptr;
-    void *_handle = nullptr;
     /// Per-memory word-array base pointers (stable after
     /// construction), passed to the cycle function as M.
     std::vector<const uint64_t *> _memTable;
-    std::string _key;
-    std::string _objectPath;
+    AotObject _object;
     unsigned _compilerRuns = 0;
-    bool _cacheHit = false;
 };
 
 /** Partition-parallel evaluation with per-partition AOT objects —
  *  the "netlist.parallel.aot" engine.  Construction lowers and
  *  partitions exactly like the base class (the worker pool is
- *  already parked when the derived constructor runs), then emits one
- *  translation unit per partition tape, compiles the cold ones
- *  concurrently, and installs each object's manticore_aot_cycle_p<K>
- *  behind the computeTape() hook.  Partitions whose object cannot be
- *  built or loaded fall back to the interpreted tape individually;
- *  the rendezvous protocol, commits and effects are inherited
- *  untouched, so determinism across thread counts and wait policies
- *  is inherited too. */
+ *  already parked when the derived constructor runs), then builds
+ *  one object per partition tape and installs each object's
+ *  manticore_aot_cycle_p<K> behind the computeTape() hook.
+ *  Partitions whose object cannot be built or loaded fall back to the
+ *  interpreted tape individually; the rendezvous protocol, commits
+ *  and effects are inherited untouched, so determinism across thread
+ *  counts and wait policies is inherited too. */
 class AotParallelEvaluator : public ParallelCompiledEvaluator
 {
   public:
     explicit AotParallelEvaluator(Netlist netlist,
                                   const EvalOptions &options = {});
-    ~AotParallelEvaluator() override;
 
     AotParallelEvaluator(const AotParallelEvaluator &) = delete;
     AotParallelEvaluator &operator=(const AotParallelEvaluator &) = delete;
 
     /** True when EVERY partition dispatches its compiled object. */
-    bool usingAot() const { return _usingAot; }
+    bool usingAot() const
+    {
+        return _aotParts != 0 && _aotParts == _objects.size();
+    }
     /** Partitions with a compiled cycle function installed. */
     unsigned aotPartitions() const { return _aotParts; }
-    /** Total compiler invocations across all partitions: 0 when
-     *  every object came from the cache (or on fallback). */
+    /** Total compiler invocations across all partition objects: 0
+     *  when every object came from the cache (or on fallback).  Each
+     *  cold object counts like AotEvaluator's: one invocation for a
+     *  partition tape of at most 1024 statements, else one per chunk
+     *  TU plus the link. */
     unsigned compilerInvocations() const { return _compilerRuns; }
     /** True when every partition object was loaded from the on-disk
      *  cache without invoking the compiler. */
-    bool cacheHit() const { return _usingAot && _compilerRuns == 0; }
-    /** Cache key of one partition's object ("" on fallback). */
+    bool cacheHit() const { return usingAot() && _compilerRuns == 0; }
+    /** Cache key of one partition's object ("" when no toolchain
+     *  works). */
     const std::string &partitionKey(size_t proc_index) const;
     /** Path of one partition's cached object ("" on fallback). */
     const std::string &partitionObject(size_t proc_index) const;
-
-    /** The generated C++ for one partition (without the trailing key
-     *  definition): exposed for tests and the README example. */
-    std::string emitPartitionSource(size_t proc_index) const;
 
   protected:
     void computeTape(size_t proc_index) override;
 
   private:
-    using CycleFn = void (*)(uint64_t *, const uint64_t *const *);
-
-    struct Part
-    {
-        CycleFn fn = nullptr;
-        void *handle = nullptr;
-        std::string key;
-        std::string object;
-    };
-
-    void buildAll(const EvalOptions &options);
-    bool loadPart(size_t proc_index, const std::string &path);
-
-    std::vector<Part> _parts;
     /// Per-memory word-array base pointers (stable after
     /// construction), passed to every partition's cycle function.
     std::vector<const uint64_t *> _memTable;
+    /// One per partition.  Destroyed (and dlclose()d) before the base
+    /// destructor stops the workers; they are parked between batches
+    /// and exit without touching the tapes again, so nothing can be
+    /// inside a compiled cycle function while the objects unload.
+    std::vector<AotObject> _objects;
     unsigned _aotParts = 0;
     unsigned _compilerRuns = 0;
-    bool _usingAot = false;
 };
 
 } // namespace manticore::netlist

@@ -5,9 +5,11 @@
  * compared every cycle), the object-cache protocol (second
  * construction loads the cached object without invoking the
  * compiler; a corrupted entry is detected, unlinked and rebuilt;
- * concurrent cold builds of one object all load it), the graceful
- * fallback to the interpreted tape when no toolchain works, and the
- * strict registry path that refuses instead.
+ * concurrent cold builds of one object all load it; a tape longer
+ * than one chunk builds as chunk TUs plus a link in both AOT
+ * engines), the graceful fallback to the interpreted tape when no
+ * toolchain works, and the strict registry path that refuses
+ * instead.
  * Labelled "aot" in CMake so both sanitized configs run it.
  */
 
@@ -21,6 +23,7 @@
 #include <thread>
 #include <vector>
 
+#include "designs/designs.hh"
 #include "engine/registry.hh"
 #include "netlist/aot.hh"
 #include "netlist/builder.hh"
@@ -29,8 +32,10 @@
 
 using namespace manticore;
 using netlist::AotEvaluator;
+using netlist::AotParallelEvaluator;
 using netlist::CompiledEvaluator;
 using netlist::EvalOptions;
+using netlist::EvaluatorBase;
 using netlist::MemId;
 using netlist::Netlist;
 using netlist::RegId;
@@ -82,10 +87,23 @@ cachedDesign()
     return b.build();
 }
 
+/** The catalog rv32r (designs::allBenchmarks()): its tape is longer
+ *  than one 1024-statement chunk but fits in two, so a cold build
+ *  compiles two chunk TUs and links them with the driver. */
+Netlist
+twoChunkDesign()
+{
+    for (const designs::Benchmark &bm : designs::allBenchmarks())
+        if (bm.name == "rv32r")
+            return bm.build(bm.defaultCheckCycles);
+    ADD_FAILURE() << "rv32r is missing from the design catalog";
+    return cachedDesign();
+}
+
 /** Step `a` (the trusted interpreted tape) and `b` (the subject) in
  *  lockstep, asserting identical architectural state every cycle. */
 void
-runLockstep(const Netlist &nl, CompiledEvaluator &a, CompiledEvaluator &b,
+runLockstep(const Netlist &nl, EvaluatorBase &a, EvaluatorBase &b,
             const std::vector<unsigned> &input_widths, uint64_t seed,
             unsigned cycles)
 {
@@ -261,6 +279,10 @@ TEST(AotCache, ConcurrentColdBuildsOfOneObjectAllLoad)
     EvalOptions options = aotOptions(freshCacheDir("race"));
     options.aotJobs = 1;
     EXPECT_EQ(concurrentFallbacks<AotEvaluator>(nl, options), 0u);
+    // Chunked builds of one key share the chunk sources and the
+    // driver source, so they must not collide either.
+    EXPECT_EQ(concurrentFallbacks<AotEvaluator>(twoChunkDesign(), options),
+              0u);
 
     EvalOptions par = aotOptions(freshCacheDir("race-parallel"));
     par.aotJobs = 1;
@@ -268,6 +290,50 @@ TEST(AotCache, ConcurrentColdBuildsOfOneObjectAllLoad)
     par.waitPolicy = netlist::WaitPolicy::Block;
     EXPECT_EQ(concurrentFallbacks<netlist::AotParallelEvaluator>(nl, par),
               0u);
+}
+
+/** A cold build of the two-chunk design (3 compiler invocations: two
+ *  chunk TUs and the driver link), then a warm one (none), each run
+ *  in lockstep against the interpreted tape. */
+template <typename E>
+void
+checkChunkedBuild(const Netlist &nl, const EvalOptions &options)
+{
+    for (bool warm : {false, true}) {
+        SCOPED_TRACE(warm ? "warm" : "cold");
+        E aot(nl, options);
+        ASSERT_TRUE(aot.usingAot()) << "fell back to the interpreter";
+        EXPECT_EQ(aot.cacheHit(), warm);
+        EXPECT_EQ(aot.compilerInvocations(), warm ? 0u : 3u);
+        CompiledEvaluator tape(nl);
+        runLockstep(nl, tape, aot, {}, 17, 40);
+    }
+}
+
+TEST(AotCache, ChunkedColdBuildOfBothVariants)
+{
+    if (!hostHasToolchain())
+        GTEST_SKIP() << netlist::aotToolchain().message;
+    Netlist nl = twoChunkDesign();
+    {
+        CompiledEvaluator tape(nl);
+        ASSERT_GT(tape.tapeLength(), 1024u);
+        ASSERT_LE(tape.tapeLength(), 2048u);
+    }
+    {
+        SCOPED_TRACE("netlist.aot");
+        checkChunkedBuild<AotEvaluator>(nl,
+                                        aotOptions(freshCacheDir("chunked")));
+    }
+
+    // At one thread netlist.parallel.aot has a single partition, which
+    // holds the whole tape and so builds chunked the same way.
+    SCOPED_TRACE("netlist.parallel.aot");
+    EvalOptions par = aotOptions(freshCacheDir("chunked-parallel"));
+    par.numThreads = 1;
+    ASSERT_EQ(netlist::ParallelCompiledEvaluator(nl, par).numProcesses(),
+              1u);
+    checkChunkedBuild<AotParallelEvaluator>(nl, par);
 }
 
 TEST(AotEvaluator, EmittedSourceIsSelfDescribing)

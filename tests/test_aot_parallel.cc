@@ -76,8 +76,7 @@ parallelAotOptions(const std::string &cache_dir, unsigned threads = 3)
 
 /** Step `a` (the trusted engine) and `b` (the subject) in lockstep
  *  over any EvaluatorBase pair, asserting identical architectural
- *  state every cycle.  A generic twin of test_aot.cc's runLockstep,
- *  which is typed to the serial CompiledEvaluator family. */
+ *  state every cycle (the same check as test_aot.cc's runLockstep). */
 void
 runLockstep(const Netlist &nl, EvaluatorBase &a, EvaluatorBase &b,
             const std::vector<unsigned> &input_widths, uint64_t seed,
@@ -260,7 +259,8 @@ TEST(AotParallelEvaluator, SecondConstructionHitsEveryPartitionObject)
     AotParallelEvaluator cold(nl, options);
     ASSERT_TRUE(cold.usingAot());
     EXPECT_FALSE(cold.cacheHit());
-    // One combined compile per partition on a cold start.
+    // mm64's partition tapes fit in one 1024-statement chunk each, so
+    // a cold start compiles each partition object in one invocation.
     EXPECT_EQ(cold.compilerInvocations(), cold.numProcesses());
 
     AotParallelEvaluator warm(nl, options);

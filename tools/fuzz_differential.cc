@@ -10,11 +10,12 @@
  * nonzero — the artifact alone reproduces the failure via
  * `replay_runner <artifact>` in a fresh process.
  *
- *   fuzz_differential [--seconds N] [--seed S] [--dir D]
+ *   fuzz_differential [--seconds N] [--seed S] [--dir D] [--aot 1]
  *
  * CI-friendly: --seconds bounds wall-clock (default 10), --seed makes
  * the whole session deterministic, --dir picks the artifact
  * directory ($MANTICORE_REPLAY_DIR, else ./replay-artifacts).
+ * --aot 1 adds netlist.aot and netlist.parallel.aot as subjects.
  */
 
 #include <chrono>
@@ -112,19 +113,22 @@ main(int argc, char **argv)
     const std::string dir = strFlag(argc, argv, "--dir", "");
 
     // Subjects: the fast netlist engines (random circuits have free
-    // inputs, which the ISA-level engines compile away).  netlist.aot
-    // is skipped when no toolchain is present — and by default too:
-    // per-circuit AOT compiles dominate the budget.
+    // inputs, which the ISA-level engines compile away).  The two AOT
+    // engines are skipped when no toolchain is present — and by
+    // default too: per-circuit AOT compiles dominate the budget.
     std::vector<std::string> subjects = {"netlist.compiled",
                                          "netlist.parallel"};
     if (u64Flag(argc, argv, "--aot", 0)) {
-        const engine::EngineInfo *aot = engine::find("netlist.aot");
-        if (aot && aot->available)
-            subjects.push_back("netlist.aot");
-        else
-            std::fprintf(stderr, "--aot: netlist.aot unavailable (%s)"
-                                 ", skipping\n",
-                         aot ? aot->availabilityNote.c_str() : "?");
+        for (const char *name : {"netlist.aot", "netlist.parallel.aot"}) {
+            const engine::EngineInfo *aot = engine::find(name);
+            if (aot && aot->available)
+                subjects.push_back(name);
+            else
+                std::fprintf(stderr, "--aot: %s unavailable (%s)"
+                                     ", skipping\n",
+                             name,
+                             aot ? aot->availabilityNote.c_str() : "?");
+        }
     }
 
     const auto deadline = std::chrono::steady_clock::now() +
