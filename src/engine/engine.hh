@@ -26,8 +26,8 @@
  *
  *  - **Batched stepping.**  `step(n)` advances up to n cycles in one
  *    call and is plumbed into the engines that can exploit it: the
- *    partition-parallel evaluator amortises its two-barrier
- *    rendezvous over the batch, and the flat-tape ISA interpreter
+ *    partition-parallel evaluator wakes its worker pool once per
+ *    batch, and the flat-tape ISA interpreter
  *    runs the whole batch per dispatch (see src/engine/README.md for
  *    measured speedups).  `step(n)` is cycle-exact with n calls to
  *    `step(1)` for every engine — the engine differential suite pins

@@ -18,9 +18,13 @@
  *
  * Allocation is a two-phase bump: alloc()/align() during engine
  * compilation, then one seal() that materialises the zeroed storage.
- * align() starts a region on a cache-line boundary — the partition-
- * parallel engine aligns every per-process region and register-file
- * owner group so distinct worker threads never write the same line.
+ * The storage itself starts on a cache line, so align() starts a
+ * region on a cache-line boundary in memory, not just in offsets — the
+ * partition-parallel engine aligns every per-process region and
+ * register-file owner group so distinct worker threads never write
+ * the same line.  An Arena is copyable: a copy is a second bank with
+ * the same layout (the partition-parallel engine double-banks its
+ * state this way).
  *
  * The layout is engine-family-neutral (the ISA tape interpreter
  * lane-strides its register file the same way), so it lives in the
@@ -30,7 +34,9 @@
 #ifndef MANTICORE_EXEC_ARENA_HH
 #define MANTICORE_EXEC_ARENA_HH
 
+#include <cstddef>
 #include <cstdint>
+#include <new>
 #include <vector>
 
 #include "support/bitvector.hh"
@@ -38,6 +44,46 @@
 #include "support/logging.hh"
 
 namespace manticore::exec {
+
+/** Bytes per cache line: the alignment of Arena storage. */
+inline constexpr size_t kCacheLine = 64;
+
+/** Minimal allocator handing out cache-line-aligned blocks. */
+template <typename T>
+struct CacheLineAllocator
+{
+    using value_type = T;
+
+    CacheLineAllocator() = default;
+    template <typename U>
+    CacheLineAllocator(const CacheLineAllocator<U> &)
+    {
+    }
+
+    T *
+    allocate(size_t n)
+    {
+        return static_cast<T *>(
+            ::operator new(n * sizeof(T), std::align_val_t{kCacheLine}));
+    }
+
+    void
+    deallocate(T *p, size_t)
+    {
+        ::operator delete(p, std::align_val_t{kCacheLine});
+    }
+
+    template <typename U>
+    bool operator==(const CacheLineAllocator<U> &) const
+    {
+        return true;
+    }
+    template <typename U>
+    bool operator!=(const CacheLineAllocator<U> &) const
+    {
+        return false;
+    }
+};
 
 class Arena
 {
@@ -68,7 +114,8 @@ class Arena
     align()
     {
         MANTICORE_ASSERT(!_sealed, "arena is sealed");
-        _offset = (_offset + 7) & ~uint64_t{7};
+        constexpr uint64_t kLimbs = kCacheLine / sizeof(uint64_t);
+        _offset = (_offset + kLimbs - 1) & ~(kLimbs - 1);
     }
 
     /** Materialise the zeroed storage; no further alloc()s. */
@@ -117,7 +164,7 @@ class Arena
     unsigned _lanes;
     uint64_t _offset = 0;
     bool _sealed = false;
-    std::vector<uint64_t> _limbs;
+    std::vector<uint64_t, CacheLineAllocator<uint64_t>> _limbs;
 };
 
 } // namespace manticore::exec

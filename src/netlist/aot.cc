@@ -1027,13 +1027,13 @@ AotParallelEvaluator::partitionObject(size_t proc_index) const
 }
 
 void
-AotParallelEvaluator::computeTape(size_t proc_index)
+AotParallelEvaluator::computeTape(size_t proc_index, uint64_t *A)
 {
     const AotObject &object = _objects[proc_index];
     if (object.fn)
-        object.fn(arenaData(), _memTable.data());
+        object.fn(A, _memTable.data());
     else
-        ParallelCompiledEvaluator::computeTape(proc_index);
+        ParallelCompiledEvaluator::computeTape(proc_index, A);
 }
 
 } // namespace manticore::netlist

@@ -45,9 +45,11 @@
  *     extern "C" void manticore_aot_cycle_p<K>(uint64_t *A,
  *                                              const uint64_t *const *M);
  *
- * and dispatched behind ParallelCompiledEvaluator::computeTape() —
- * workers run straight-line compiled code inside the existing
- * two-barrier Vcycle, with the commit/rendezvous protocol untouched.
+ * and dispatched behind ParallelCompiledEvaluator::computeTape(),
+ * which passes the base of the arena bank the Vcycle computes on (the
+ * two banks share one layout, so one object serves both) — workers
+ * run straight-line compiled code inside the base class's one-barrier
+ * Vcycle, with the send/barrier protocol untouched.
  *
  * **One builder.**  Both engines build their objects through the
  * same path: emit an object's canonical unit, hash it into a key,
@@ -242,7 +244,7 @@ class AotParallelEvaluator : public ParallelCompiledEvaluator
     const std::string &partitionObject(size_t proc_index) const;
 
   protected:
-    void computeTape(size_t proc_index) override;
+    void computeTape(size_t proc_index, uint64_t *A) override;
 
   private:
     /// Per-memory word-array base pointers (stable after

@@ -16,8 +16,8 @@
  *
  * A third engine, ParallelCompiledEvaluator (parallel_evaluator.hh),
  * partitions the netlist and evaluates one tape per partition on a
- * persistent worker pool with the paper's two-barrier Vcycle
- * structure (§6.1).
+ * persistent worker pool, one all-to-all barrier per Vcycle like the
+ * paper's static bulk-synchronous schedule (§6.1).
  *
  * engine::create builds any of them by registry name so harnesses can
  * compare them (see src/netlist/README.md).

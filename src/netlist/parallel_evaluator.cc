@@ -62,7 +62,8 @@ ParallelCompiledEvaluator::wakeBlocked() const
 ParallelCompiledEvaluator::ParallelCompiledEvaluator(
     Netlist netlist, const EvalOptions &options)
     : _netlist(std::move(netlist)), _lanes(options.lanes),
-      _padded(exec::paddedLaneCount(options.lanes)), _arena(_padded),
+      _padded(exec::paddedLaneCount(options.lanes)),
+      _bank{exec::Arena(_padded), exec::Arena(_padded)},
       _waitPolicy(options.waitPolicy)
 {
     MANTICORE_ASSERT(_lanes >= 1, "ensemble needs at least one lane");
@@ -72,8 +73,11 @@ ParallelCompiledEvaluator::ParallelCompiledEvaluator(
                                           : std::max(1u, hw);
     _active = _lanes;
     _lane.resize(_lanes);
-    _laneCommit.assign(_lanes, 0);
-    _laneFinish.assign(_lanes, 0);
+    for (Decision *d : {&_start, &_decision[0], &_decision[1]}) {
+        d->commit.assign(_lanes, 0);
+        d->finish.assign(_lanes, 0);
+    }
+    _frozenBank.assign(_lanes, 0);
     compile(options.mergeAlgo);
     for (size_t p = 1; p < _procs.size(); ++p)
         _pool.emplace_back([this, p] { workerLoop(p); });
@@ -81,12 +85,10 @@ ParallelCompiledEvaluator::ParallelCompiledEvaluator(
 
 ParallelCompiledEvaluator::~ParallelCompiledEvaluator()
 {
-    // Workers always park at the compute rendezvous between steps;
-    // bumping both generations with _shutdown set releases them from
-    // either wait.
+    // Workers always park at the batch rendezvous between steps;
+    // bumping its generation with _shutdown set releases them.
     _shutdown.store(true, std::memory_order_relaxed);
     _computeGen.fetch_add(1, std::memory_order_release);
-    _commitGen.fetch_add(1, std::memory_order_release);
     wake();
     for (std::thread &t : _pool)
         t.join();
@@ -99,7 +101,15 @@ ParallelCompiledEvaluator::compile(MergeAlgo algo)
     _stats = part.stats;
     _mems = tape::buildMemStates(_netlist, _padded);
 
+    // The master runs process 0, so the effects process goes there:
+    // the master then fires the side effects and publishes the
+    // Vcycle's decision right after its own compute.
+    for (size_t p = 1; p < part.processes.size(); ++p)
+        if (part.processes[p].effects)
+            std::swap(part.processes[0], part.processes[p]);
+
     const auto &nodes = _netlist.nodes();
+    exec::Arena &arena = _bank[0];
 
     // Shared source region: constants and inputs, written only at
     // build time / between steps.
@@ -107,41 +117,40 @@ ParallelCompiledEvaluator::compile(MergeAlgo algo)
     for (size_t i = 0; i < nodes.size(); ++i) {
         if (nodes[i].kind == OpKind::Const ||
             nodes[i].kind == OpKind::Input)
-            _sourceSlot[i] = _arena.alloc(nodes[i].width);
+            _sourceSlot[i] = arena.alloc(nodes[i].width);
     }
 
-    // Shared register file, grouped by committing process and
-    // cache-line aligned per group: the only shared slots written
-    // after construction, each by exactly one process per cycle.
+    // Shared register file, grouped by owning process and cache-line
+    // aligned per group: within a Vcycle, only the owner writes a
+    // register, and only in the bank the cycle does not read.
     _regSlot.assign(_netlist.numRegisters(), kNoSlot);
     for (const NetlistProcess &proc : part.processes) {
-        _arena.align();
+        arena.align();
         for (RegId r : proc.registers) {
             MANTICORE_ASSERT(_regSlot[r] == kNoSlot,
                              "register owned by two processes");
-            _regSlot[r] = _arena.alloc(_netlist.reg(r).width);
+            _regSlot[r] = arena.alloc(_netlist.reg(r).width);
         }
     }
     for (size_t r = 0; r < _netlist.numRegisters(); ++r)
         MANTICORE_ASSERT(_regSlot[r] != kNoSlot, "unowned register");
 
     // Per-process private regions: cone node slots, then staging for
-    // RegRead-sourced commit operands.  Lowering happens in the same
-    // sweep — node ids are topologically ordered and cones are
+    // RegRead-sourced memory-write operands.  Lowering happens in the
+    // same sweep — node ids are topologically ordered and cones are
     // operand-closed, so every operand slot is resolvable by the time
     // it is needed.
-    int effects_proc = -1;
     std::unordered_map<NodeId, uint32_t> effects_local;
     _procs.resize(part.processes.size());
     for (size_t p = 0; p < part.processes.size(); ++p) {
         const NetlistProcess &src = part.processes[p];
         Proc &proc = _procs[p];
-        _arena.align();
+        arena.align();
 
         std::unordered_map<NodeId, uint32_t> local;
         local.reserve(src.nodes.size() * 2);
         for (NodeId id : src.nodes)
-            local[id] = _arena.alloc(nodes[id].width);
+            local[id] = arena.alloc(nodes[id].width);
 
         auto resolve = [&](NodeId id) -> uint32_t {
             const Node &n = _netlist.node(id);
@@ -165,51 +174,54 @@ ParallelCompiledEvaluator::compile(MergeAlgo algo)
                 tape::lower(_netlist, id, local[id], a, b, c, _mems));
         }
 
-        // Commit operands that live in the shared register file are
-        // staged into the private region pre-barrier; everything else
-        // (private slots, stable constants/inputs) is read directly.
+        // Register sends read the current bank, whose register file
+        // nobody writes during the Vcycle, so they read any operand
+        // in place.
+        for (RegId r : src.registers) {
+            const Register &reg = _netlist.reg(r);
+            proc.regCommits.push_back({_regSlot[r], resolve(reg.next),
+                                       lo::nlimbs(reg.width)});
+        }
+
+        // Memory writes are applied after the barrier, so operands
+        // that live in the shared register file are staged into the
+        // private region before it; everything else (private slots,
+        // stable constants/inputs) is read in place.
         std::unordered_map<NodeId, uint32_t> staged;
-        auto commitSlot = [&](NodeId id) -> uint32_t {
+        auto writeSlot = [&](NodeId id) -> uint32_t {
             const Node &n = _netlist.node(id);
             if (n.kind != OpKind::RegRead)
                 return resolve(id);
             auto it = staged.find(id);
             if (it != staged.end())
                 return it->second;
-            uint32_t slot = _arena.alloc(n.width);
+            uint32_t slot = arena.alloc(n.width);
             staged.emplace(id, slot);
             proc.stages.push_back({slot, _regSlot[n.regId],
                                    lo::nlimbs(n.width) * _lanes});
             return slot;
         };
-
-        for (RegId r : src.registers) {
-            const Register &reg = _netlist.reg(r);
-            proc.regCommits.push_back({_regSlot[r], commitSlot(reg.next),
-                                       lo::nlimbs(reg.width)});
-        }
         for (uint32_t w : src.memWrites) {
             const MemWrite &mw = _netlist.memWrites()[w];
             proc.memCommits.push_back(
-                {mw.mem, commitSlot(mw.addr), commitSlot(mw.data),
-                 commitSlot(mw.enable),
+                {mw.mem, writeSlot(mw.addr), writeSlot(mw.data),
+                 writeSlot(mw.enable),
                  lo::nlimbs(_netlist.node(mw.addr).width)});
         }
 
-        if (src.effects) {
-            effects_proc = static_cast<int>(p);
+        if (src.effects)
             effects_local = std::move(local);
-        }
     }
 
-    // Side effects, resolved against the effects process's region (or
-    // shared slots); the master fires them per lane between the two
-    // barriers.
+    // Side effects, resolved against process 0's region (or shared
+    // slots); the master fires them per lane before it arrives.
     bool have_effects = !_netlist.asserts().empty() ||
                         !_netlist.displays().empty() ||
                         !_netlist.finishes().empty();
     if (have_effects) {
-        MANTICORE_ASSERT(effects_proc != -1, "effects cone unassigned");
+        MANTICORE_ASSERT(!part.processes.empty() &&
+                             part.processes[0].effects,
+                         "effects cone unassigned");
         _effects = tape::Effects::compile(
             _netlist, [&](NodeId id) -> uint32_t {
                 const Node &n = _netlist.node(id);
@@ -224,67 +236,66 @@ ParallelCompiledEvaluator::compile(MergeAlgo algo)
             });
     }
 
-    _arena.seal();
+    arena.seal();
 
     for (size_t i = 0; i < nodes.size(); ++i)
         if (nodes[i].kind == OpKind::Const)
-            _arena.broadcast(_sourceSlot[i], nodes[i].value);
+            arena.broadcast(_sourceSlot[i], nodes[i].value);
     for (size_t r = 0; r < _netlist.numRegisters(); ++r)
-        _arena.broadcast(_regSlot[r],
-                         _netlist.reg(static_cast<RegId>(r)).init);
+        arena.broadcast(_regSlot[r],
+                        _netlist.reg(static_cast<RegId>(r)).init);
+    _bank[1] = arena; // same layout, same constants and init
 }
 
 void
-ParallelCompiledEvaluator::computeTape(size_t proc_index)
+ParallelCompiledEvaluator::computeTape(size_t proc_index, uint64_t *A)
 {
-    tape::run(_procs[proc_index].tape, _arena.data(), _mems, _padded);
+    tape::run(_procs[proc_index].tape, A, _mems, _padded);
 }
 
 void
-ParallelCompiledEvaluator::computeProc(size_t proc_index)
+ParallelCompiledEvaluator::computeAndSend(size_t p, uint64_t *A,
+                                          uint64_t *next,
+                                          const Decision &active)
 {
     // Tape evaluation goes through the computeTape() hook so the AOT
     // subclass can dispatch a per-partition compiled cycle function;
-    // the stage copies below are part of the protocol and stay here.
-    computeTape(proc_index);
-    uint64_t *A = _arena.data();
+    // the stage copies and sends below are part of the protocol.
+    computeTape(p, A);
+    const Proc &proc = _procs[p];
     // Staged blocks and their register-file sources are both
     // lane-strided with the same per-lane limb count, so one copy
     // (s.limbs spans every lane) moves the whole block.
-    for (const StageCopy &s : _procs[proc_index].stages)
+    for (const StageCopy &s : proc.stages)
         lo::copy(A + s.dst, A + s.src, s.limbs);
+    if (active.allActive) {
+        // Every lane is live (always true at one lane): the src and
+        // dst blocks are lane-strided with the same stride, so one
+        // copy per register moves every lane.
+        for (const RegCommit &rc : proc.regCommits)
+            lo::copy(next + rc.dst, A + rc.src, rc.limbs * _lanes);
+        return;
+    }
+    // A frozen lane is never written again, in either bank.
+    for (const RegCommit &rc : proc.regCommits)
+        for (unsigned l = 0; l < _lanes; ++l)
+            if (active.commit[l] && !active.finish[l])
+                lo::copy(next + rc.dst + static_cast<size_t>(l) * rc.limbs,
+                         A + rc.src + static_cast<size_t>(l) * rc.limbs,
+                         rc.limbs);
 }
 
 void
-ParallelCompiledEvaluator::commitProc(const Proc &proc)
+ParallelCompiledEvaluator::applyWrites(const Proc &proc, const uint64_t *A,
+                                       const Decision &d)
 {
-    uint64_t *A = _arena.data();
-    const unsigned L = _lanes;
-    // Memory writes never read shared register-file slots (those were
-    // staged), so intra-process commit order is free; registers and
-    // memories owned by other processes are untouched by design.
-    // Frozen lanes (finished / assert-failed) have _laneCommit
-    // cleared by the master and are skipped.
-    if (L == 1) {
-        // Scalar fast path: commitProc is only called when _doCommit,
-        // which at one lane IS lane 0's commit flag — no lane loops,
-        // no flag loads.
-        for (const MemCommit &w : proc.memCommits) {
-            if (A[w.enable]) {
-                tape::MemState &m = _mems[w.mem];
-                uint64_t addr = A[w.addr] % m.depth;
-                lo::copy(&m.words[addr * m.wordLimbs], A + w.data,
-                         m.wordLimbs);
-            }
-        }
-        for (const RegCommit &rc : proc.regCommits)
-            lo::copy(A + rc.dst, A + rc.src, rc.limbs);
-        return;
-    }
+    // Memory writes read only private or staged slots of bank A, so
+    // their order against other processes is free; memories written
+    // here are read and written by this process alone (partition.hh).
     for (const MemCommit &w : proc.memCommits) {
         tape::MemState &m = _mems[w.mem];
-        for (unsigned l = 0; l < L; ++l) {
-            if (!_laneCommit[l] || !A[w.enable + l])
+        for (unsigned l = 0; l < _lanes; ++l) {
+            if (!d.commit[l] || !A[w.enable + l])
                 continue;
             uint64_t addr =
                 A[w.addr + static_cast<size_t>(l) * w.addrStride] %
@@ -294,79 +305,95 @@ ParallelCompiledEvaluator::commitProc(const Proc &proc)
                      m.wordLimbs);
         }
     }
-    if (_allCommit) {
-        // Fast path (every lane commits — always true at lanes=1):
-        // the src and dst blocks are lane-strided with the same
-        // stride, one copy per register moves every lane.
-        for (const RegCommit &rc : proc.regCommits)
-            lo::copy(A + rc.dst, A + rc.src, rc.limbs * L);
-    } else {
-        for (const RegCommit &rc : proc.regCommits)
-            for (unsigned l = 0; l < L; ++l)
-                if (_laneCommit[l])
-                    lo::copy(A + rc.dst +
-                                 static_cast<size_t>(l) * rc.limbs,
-                             A + rc.src +
-                                 static_cast<size_t>(l) * rc.limbs,
-                             rc.limbs);
-    }
+}
+
+tape::Effects::FireResult
+ParallelCompiledEvaluator::decide(Decision &d, const uint64_t *A,
+                                  uint64_t left)
+{
+    // Fire side effects per active lane, in lane order and in netlist
+    // order within a lane — a failed assert suppresses that lane's
+    // displays, $finish and commit, like the serial engines.  If
+    // firing throws (a throwing onDisplay callback, allocation
+    // failure while formatting), the barrier must still complete or
+    // the workers stay parked at it and the next step() deadlocks;
+    // the whole ensemble cycle is then neither committed nor counted
+    // (and every lane's display log rolled back), so a caller that
+    // catches can retry it — though an external onDisplay sink may
+    // see already-delivered lines again, and a lane whose assert
+    // failed before the throw keeps that status (its failing cycle
+    // never commits).
+    tape::Effects::FireResult fired =
+        _effects.fireLanes(A, _lanes, _lane.data(), d.commit.data(),
+                           d.finish.data(), onDisplay);
+    unsigned next_active = fired.committing - fired.finishing;
+    d.allActive = next_active == _lanes;
+    d.more = left > 1 && next_active > 0 && !fired.thrown;
+    return fired;
+}
+
+void
+ParallelCompiledEvaluator::arrive(uint64_t target)
+{
+    _arrivals.fetch_add(1, std::memory_order_release);
+    wake();
+    waitCount(_arrivals, target);
 }
 
 /* Batch protocol.  A run()/step() call issues ONE pool command: the
- * master bumps _computeGen once and every worker enters its batch
- * loop.  Within the batch, each cycle is
+ * master publishes the arrival baseline, the Vcycle sequence number
+ * and the lanes active at batch start (_start), then bumps
+ * _computeGen, and every worker enters its batch loop.  Vcycle k of
+ * the batch computes on bank cur = k % 2:
  *
- *   worker: compute; ++_computeDone; wait _commitGen; commit if
- *           _doCommit (honouring the per-lane _laneCommit flags);
- *           read _batchMore; ++_commitDone; if more: wait
- *           _commitDone == everyone, roll into the next compute
- *   master: compute proc 0; wait _computeDone target; fire effects
- *           per lane; publish _laneCommit/_doCommit/_batchMore; bump
- *           _commitGen; commit proc 0; ++_commitDone; wait
- *           _commitDone target
+ *   worker: compute on cur; stage memory-write operands; send owned
+ *           registers (for the lanes active this Vcycle) into cur^1;
+ *           arrive and wait for everyone; read the decision slot of
+ *           the Vcycle's sequence parity; if the batch ends, park
+ *           (the master applies the pending writes); else apply own
+ *           memory writes of Vcycle k and roll into Vcycle k+1
+ *   master: compute, stage and send process 0 like a worker; fire
+ *           effects on cur and fill the decision slot; arrive and
+ *           wait; advance lane state; apply process 0's writes (or
+ *           every process's at batch end)
  *
- * Barrier 2 (all commits visible before any next-cycle compute) is
- * the _commitDone counter itself: every participant — master
- * included — counts its commit, and a worker rolls over only once
- * the full cycle's count is in.  The batch thus pays one generation
- * signal per cycle (plus the counters) instead of two signals and
- * two counter resets, and the master never re-enters step().  The
- * done-counters are monotonic against per-thread targets, which is
- * what makes the reset-free roll-over safe: a worker's baseline read
- * at batch entry is stable because the master only bumps _computeGen
- * after the previous cycle's full commit count arrived.  _batchMore
- * and the _laneCommit flags are written by the master before the
- * _commitGen release bump and read by workers after its acquire,
- * strictly before the master's next write to them.  Under
- * WaitPolicy::Block every one of these counter bumps is followed by
- * wake() so a parked peer re-checks its predicate. */
+ * The barrier is the monotonic _arrivals counter: every participant
+ * — master included — bumps it once per Vcycle and waits for its
+ * own running target (baseline + participants x Vcycles), which is
+ * what makes the reset-free roll-over safe.  Nothing in a Vcycle
+ * waits on another process before the barrier: bank cur's register
+ * file is read-only for the whole Vcycle and bank cur^1's is written
+ * only by each register's owner.  A memory, if written at all, is
+ * read and written by its owner alone, which applies Vcycle k's
+ * writes before it computes Vcycle k+1.  The master writes the
+ * decision slot of Vcycle s before its arrival at barrier s and next
+ * rewrites it for Vcycle s+2, after barrier s+1 — which needs every
+ * reader's arrival, and a worker's last read of slot s (as Vcycle
+ * s+1's active mask) precedes it.  Under WaitPolicy::Block every
+ * arrival is followed by wake() so a parked peer re-checks its
+ * predicate. */
 void
 ParallelCompiledEvaluator::workerLoop(size_t proc_index)
 {
     const uint64_t participants = _procs.size();
-    uint64_t seen_compute = 0, seen_commit = 0;
+    const Proc &proc = _procs[proc_index];
+    uint64_t seen = 0;
     while (true) {
-        seen_compute = waitAbove(_computeGen, seen_compute);
+        seen = waitAbove(_computeGen, seen);
         if (_shutdown.load(std::memory_order_relaxed))
             return;
-        uint64_t commit_target =
-            _commitDone.load(std::memory_order_acquire);
-        while (true) {
-            computeProc(proc_index);
-            _computeDone.fetch_add(1, std::memory_order_release);
-            wake();
-            seen_commit = waitAbove(_commitGen, seen_commit);
-            if (_shutdown.load(std::memory_order_relaxed))
-                return;
-            bool more = _batchMore;
-            if (_doCommit)
-                commitProc(_procs[proc_index]);
-            _commitDone.fetch_add(1, std::memory_order_release);
-            wake();
-            if (!more)
-                break; // park at the next batch's compute rendezvous
-            commit_target += participants;
-            waitCount(_commitDone, commit_target);
+        uint64_t target = _batchArrivals;
+        uint64_t seq = _batchSeq;
+        uint64_t *bank[2] = {_bank[0].data(), _bank[1].data()};
+        const Decision *active = &_start;
+        for (unsigned cur = 0;; cur ^= 1, ++seq) {
+            computeAndSend(proc_index, bank[cur], bank[cur ^ 1], *active);
+            arrive(target += participants);
+            const Decision &d = _decision[seq & 1];
+            if (!d.more)
+                break; // park at the next batch's rendezvous
+            applyWrites(proc, bank[cur], d);
+            active = &d;
         }
     }
 }
@@ -394,149 +421,88 @@ ParallelCompiledEvaluator::run(uint64_t max_cycles)
 }
 
 SimStatus
-ParallelCompiledEvaluator::runBatchScalar(uint64_t max_cycles)
-{
-    // Single-lane fast path: the pre-ensemble master loop (no
-    // per-lane flag vectors or loops) so the scalar engine keeps its
-    // original per-cycle rendezvous cost.  The workers' scalar
-    // commitProc path is gated on _doCommit alone, so the per-lane
-    // commit flags are never consulted at one lane.  Must stay
-    // behaviourally identical to the general loop below at lanes=1
-    // (the ensemble tests pin this against the reference evaluator).
-    LaneState &lane = _lane[0];
-    const uint64_t workers = _pool.size();
-
-    _computeGen.fetch_add(1, std::memory_order_release);
-    wake();
-    for (uint64_t left = max_cycles;; --left) {
-        if (!_procs.empty())
-            computeProc(0);
-        _computeTarget += workers;
-        waitCount(_computeDone, _computeTarget);
-
-        const uint64_t *A = _arena.data();
-        bool finished = false;
-        std::exception_ptr thrown;
-        try {
-            _doCommit = _effects.fire(A, 0, lane.cycle, lane.status,
-                                      lane.failureMessage,
-                                      lane.displayLog, onDisplay,
-                                      finished);
-        } catch (...) {
-            thrown = std::current_exception();
-            _doCommit = false;
-        }
-
-        _batchMore = left > 1 && _doCommit && !finished && !thrown;
-        _commitGen.fetch_add(1, std::memory_order_release);
-        wake();
-        if (_doCommit && !_procs.empty())
-            commitProc(_procs[0]);
-        _commitDone.fetch_add(1, std::memory_order_release);
-        wake();
-        _commitTarget += workers + 1;
-        waitCount(_commitDone, _commitTarget);
-        if (thrown)
-            std::rethrow_exception(thrown);
-
-        if (!_doCommit) {
-            _active = 0; // assertion failed: no commit, no cycle
-            return lane.status;
-        }
-        ++lane.cycle;
-        ++_cycle;
-        if (finished) {
-            lane.status = SimStatus::Finished;
-            _active = 0;
-            return lane.status;
-        }
-        if (left == 1)
-            return lane.status;
-    }
-}
-
-SimStatus
 ParallelCompiledEvaluator::runBatch(uint64_t max_cycles)
 {
     if (_active == 0 || max_cycles == 0)
         return _lane[0].status;
-    if (_lanes == 1)
-        return runBatchScalar(max_cycles);
 
-    const uint64_t workers = _pool.size();
+    const uint64_t participants = _pool.size() + 1;
+    uint64_t *bank[2] = {_bank[0].data(), _bank[1].data()};
 
     // One pool command for the whole batch: workers enter their batch
-    // loop and compute cycle 0; the master runs process 0 inline.
+    // loop and compute Vcycle 0 on bank 0; the master runs process 0
+    // inline.
+    for (unsigned l = 0; l < _lanes; ++l)
+        _start.commit[l] = _lane[l].status == SimStatus::Ok;
+    _start.allActive = _active == _lanes;
+    _batchArrivals = _arrivals.load(std::memory_order_relaxed);
+    _batchSeq = _seq;
     _computeGen.fetch_add(1, std::memory_order_release);
     wake();
+
+    uint64_t target = _batchArrivals;
+    const Decision *active = &_start;
+    unsigned cur = 0;
+    tape::Effects::FireResult fired;
     for (uint64_t left = max_cycles;; --left) {
+        Decision &d = _decision[_seq++ & 1];
         if (!_procs.empty())
-            computeProc(0);
-        _computeTarget += workers;
-        waitCount(_computeDone, _computeTarget);
+            computeAndSend(0, bank[cur], bank[cur ^ 1], *active);
+        fired = decide(d, bank[cur], left);
+        arrive(target += participants);
 
-        // Barrier 1 passed: every combinational value is visible.
-        // Fire side effects per active lane, in lane order and in
-        // netlist order within a lane, on the master thread — a
-        // failed assert suppresses that lane's displays, $finish and
-        // commit, like the serial engines.  If firing throws (a
-        // throwing onDisplay callback, allocation failure while
-        // formatting), the commit rendezvous must still complete or
-        // the workers stay parked at it and the next step()
-        // deadlocks; the whole ensemble cycle is then neither
-        // committed nor counted (and every lane's display log rolled
-        // back), so a caller that catches can retry it — though an
-        // external onDisplay sink may see already-delivered lines
-        // again, and a lane whose assert failed before the throw
-        // keeps that status (its failing cycle never commits).
-        // Per-lane commit decision (shared with the serial engine via
-        // Effects::fireLanes); on a throwing display sink the whole
-        // ensemble cycle aborts, but the exception is held until the
-        // commit rendezvous completed (see above).
-        const uint64_t *A = _arena.data();
-        tape::Effects::FireResult fired =
-            _effects.fireLanes(A, _lanes, _lane.data(),
-                               _laneCommit.data(), _laneFinish.data(),
-                               onDisplay);
-        std::exception_ptr thrown = fired.thrown;
-        unsigned next_active = fired.committing - fired.finishing;
-        _doCommit = fired.committing != 0;
-        _allCommit = fired.committing == _lanes;
-
-        // Commit phase: every process sends its owned registers /
-        // memory writes (of the committing lanes) into the shared
-        // state.  Workers continue into the next cycle's compute iff
-        // the batch goes on.
-        _batchMore = left > 1 && next_active > 0 && !thrown;
-        _commitGen.fetch_add(1, std::memory_order_release);
-        wake();
-        if (_doCommit && !_procs.empty())
-            commitProc(_procs[0]);
-        _commitDone.fetch_add(1, std::memory_order_release);
-        wake();
-        _commitTarget += workers + 1;
-        waitCount(_commitDone, _commitTarget);
-        if (thrown) {
-            recountActive();
-            std::rethrow_exception(thrown);
-        }
-
+        // Barrier passed: every send of this Vcycle is in bank cur^1.
         bool advanced = false;
         for (unsigned l = 0; l < _lanes; ++l) {
-            if (!_laneCommit[l])
-                continue;
-            ++_lane[l].cycle;
-            advanced = true;
-            if (_laneFinish[l])
-                _lane[l].status = SimStatus::Finished;
+            if (!active->commit[l] || active->finish[l])
+                continue; // frozen before this Vcycle
+            if (d.commit[l]) {
+                ++_lane[l].cycle;
+                advanced = true;
+                if (d.finish[l]) {
+                    _lane[l].status = SimStatus::Finished;
+                    _frozenBank[l] = cur ^ 1;
+                }
+            } else if (_lane[l].status != SimStatus::Ok) {
+                _frozenBank[l] = cur; // its failing cycle never commits
+            }
         }
         if (advanced)
             ++_cycle;
-        recountActive();
-
-        if (!_batchMore)
-            return _lane[0].status;
+        if (!d.more) {
+            // The batch's pending memory writes; the workers are done
+            // with this batch's arena and memories.
+            for (const Proc &proc : _procs)
+                applyWrites(proc, bank[cur], d);
+            break;
+        }
+        if (!_procs.empty())
+            applyWrites(_procs[0], bank[cur], d);
+        active = &d;
+        cur ^= 1;
     }
+
+    // Hand the state back in bank 0: the live lanes are wherever the
+    // last Vcycle left them, and a lane that froze during this batch
+    // is mirrored into the other bank once, so the swap (and any later
+    // one) keeps it whole.
+    for (unsigned l = 0; l < _lanes; ++l) {
+        if (!_start.commit[l] || _lane[l].status == SimStatus::Ok)
+            continue;
+        const exec::Arena &from = _bank[_frozenBank[l]];
+        exec::Arena &to = _bank[_frozenBank[l] ^ 1];
+        for (size_t r = 0; r < _regSlot.size(); ++r) {
+            unsigned width = _netlist.reg(static_cast<RegId>(r)).width;
+            lo::copy(to.at(_regSlot[r], width, l),
+                     from.at(_regSlot[r], width, l), lo::nlimbs(width));
+        }
+    }
+    if ((fired.committing != 0 ? cur ^ 1 : cur) == 1)
+        std::swap(_bank[0], _bank[1]);
+    recountActive();
+    if (fired.thrown)
+        std::rethrow_exception(fired.thrown);
+    return _lane[0].status;
 }
 
 void
@@ -553,7 +519,8 @@ ParallelCompiledEvaluator::driveInput(NodeId input, const BitVector &value)
                          _netlist.node(input).kind == OpKind::Input &&
                          _netlist.node(input).width == value.width(),
                      "bad driveInput target");
-    _arena.broadcast(_sourceSlot[input], value);
+    for (exec::Arena &bank : _bank)
+        bank.broadcast(_sourceSlot[input], value);
 }
 
 void
@@ -564,7 +531,8 @@ ParallelCompiledEvaluator::driveInputLane(unsigned lane, NodeId input,
                          _netlist.node(input).kind == OpKind::Input &&
                          _netlist.node(input).width == value.width(),
                      "bad driveInput target");
-    _arena.write(_sourceSlot[input], lane, value);
+    for (exec::Arena &bank : _bank)
+        bank.write(_sourceSlot[input], lane, value);
 }
 
 SimStatus
@@ -605,7 +573,7 @@ BitVector
 ParallelCompiledEvaluator::regValueLane(unsigned lane, RegId id) const
 {
     MANTICORE_ASSERT(id < _netlist.numRegisters(), "bad register id");
-    return _arena.read(_regSlot[id], _netlist.reg(id).width, lane);
+    return _bank[0].read(_regSlot[id], _netlist.reg(id).width, lane);
 }
 
 BitVector
@@ -641,22 +609,26 @@ ParallelCompiledEvaluator::tapeLength() const
 
 // ---- checkpoint/restore hooks (see EvaluatorBase::saveLaneState) ----
 // All called from the master thread between step()/run() calls, when
-// the workers are parked on _computeGen: the shared arena, memory
-// images and lane state are master-owned at that point.
+// the workers are parked on _computeGen: both banks, the memory
+// images and lane state are master-owned at that point, and bank 0
+// is canonical.
 
 BitVector
 ParallelCompiledEvaluator::inputValueLane(unsigned lane,
                                           NodeId input) const
 {
-    return _arena.read(_sourceSlot[input], _netlist.node(input).width,
-                       lane);
+    return _bank[0].read(_sourceSlot[input], _netlist.node(input).width,
+                         lane);
 }
 
 void
 ParallelCompiledEvaluator::restoreReg(unsigned lane, RegId id,
                                       const BitVector &value)
 {
-    _arena.write(_regSlot[id], lane, value);
+    // Both banks, so a restored frozen lane is mirrored like any
+    // other frozen lane.
+    for (exec::Arena &bank : _bank)
+        bank.write(_regSlot[id], lane, value);
 }
 
 void
@@ -689,8 +661,6 @@ void
 ParallelCompiledEvaluator::snapshotRestored()
 {
     recountActive();
-    std::fill(_laneCommit.begin(), _laneCommit.end(), 0);
-    std::fill(_laneFinish.begin(), _laneFinish.end(), 0);
     uint64_t cycle = 0;
     for (const LaneState &ls : _lane)
         cycle = std::max(cycle, ls.cycle);

@@ -4,39 +4,42 @@
  * carried to host threads): the netlist is split into balanced
  * processes by netlist/partition.hh, each process is lowered to its
  * own flat op tape over a private limb region, and a persistent
- * worker pool evaluates all tapes every cycle with the paper's
- * two-barrier Vcycle structure:
+ * worker pool evaluates all tapes every cycle in the paper's static
+ * bulk-synchronous style — ONE all-to-all barrier per Vcycle:
  *
- *   compute phase   every process runs its tape, reading the shared
- *                   register file / inputs / constants / memories and
- *                   writing only its private region; it then stages
- *                   copies of any RegRead-sourced commit operands.
- *   barrier 1       all processes computed; the master (calling)
- *                   thread fires side effects in netlist order and
- *                   decides which lanes commit.
- *   commit phase    each process commits the registers and memory
- *                   writes it owns into the shared register file /
- *                   memory images (the cross-process "SENDs").
- *   barrier 2       the Vcycle is complete.
+ *   compute + send  every process runs its tape against bank `cur`
+ *                   (register file, inputs, constants, its private
+ *                   region) and immediately writes the next values
+ *                   of the registers it owns into bank `cur^1` — the
+ *                   cross-process "SENDs" — and stages the RegRead
+ *                   operands of its memory writes.  The master
+ *                   (process 0, which holds every side effect) also
+ *                   fires asserts / displays / $finish in netlist
+ *                   order and publishes the cycle's decision.
+ *   barrier         every participant arrives once on one counter.
+ *   after           each memory owner applies the cycle's writes,
+ *                   gated by the decision; the next cycle computes
+ *                   on bank `cur^1`.
  *
- * Everything lives in ONE ensemble arena (exec/arena.hh) split into a
- * shared source region (constants, inputs, the register file grouped
- * by owner and cache-line aligned) and per-process private regions,
- * so tape instructions address any operand by global limb offset and
- * the compute phase is race-free by construction: private regions are
- * written only by their owner, shared slots only between barriers by
- * the unique owner of each register / memory.
+ * The state lives in TWO arena banks with one layout (exec/arena.hh):
+ * a shared source region (constants, inputs, the register file
+ * grouped by owner and cache-line aligned) and per-process private
+ * regions, so tape instructions address any operand by a bank-
+ * relative limb offset.  Bank `cur`'s register file is read-only for
+ * the whole cycle and bank `cur^1`'s is written only by each
+ * register's owner, so no process waits for another before
+ * committing and no register needs a stage copy.  Between run() /
+ * step() calls bank 0 is canonical.
  *
  * With EvalOptions::lanes == N the arena holds an N-lane ensemble —
- * N decoupled simulations advanced by the SAME two-barrier Vcycle,
+ * N decoupled simulations advanced by the SAME one-barrier Vcycle,
  * so the rendezvous cost per simulated cycle drops by a factor of N.
  * Each lane carries its own status / cycle / failure message /
  * display transcript; a lane that finishes or fails an assertion is
- * frozen (the master clears its commit flag) while the remaining
- * lanes keep running.  EvalOptions::waitPolicy selects how the
- * rendezvous waits: Spin (lowest latency) or Block (condition
- * variable — idle partitions release their core on oversubscribed
- * hosts).
+ * frozen (no process writes it again) while the remaining lanes keep
+ * running.  EvalOptions::waitPolicy selects how the rendezvous
+ * waits: Spin (lowest latency) or Block (condition variable — idle
+ * partitions release their core on oversubscribed hosts).
  *
  * The engine is cycle-exact with the reference Evaluator per lane
  * (including side-effect ordering and pre-commit snapshot semantics)
@@ -82,13 +85,11 @@ class ParallelCompiledEvaluator : public EvaluatorBase
     void driveInput(NodeId input, const BitVector &value) override;
     SimStatus step() override;
     /** Batched stepping: the whole batch runs as ONE worker-pool
-     *  command, so the pool pays one wake-up rendezvous per batch and
-     *  one (not two) generation signal per cycle — workers roll from
-     *  the commit of cycle k straight into the compute of cycle k+1
-     *  (see the batch protocol notes above workerLoop).  Cycle-exact
-     *  with a step() loop, including side-effect order and the
-     *  no-commit-after-failed-assert rule; an ensemble batch runs
-     *  until every lane is terminal or the batch ends. */
+     *  command, so the pool pays one wake-up per batch and one
+     *  barrier per cycle (see the protocol notes above workerLoop).
+     *  Cycle-exact with a step() loop, including side-effect order
+     *  and the no-commit-after-failed-assert rule; an ensemble batch
+     *  runs until every lane is terminal or the batch ends. */
     SimStatus run(uint64_t max_cycles) override;
 
     /** Completed cycles of the most-advanced lane. */
@@ -142,7 +143,9 @@ class ParallelCompiledEvaluator : public EvaluatorBase
     WaitPolicy waitPolicy() const { return _waitPolicy; }
     const NetlistPartitionStats &partitionStats() const { return _stats; }
     size_t tapeLength() const; ///< total instructions across processes
-    size_t arenaLimbs() const { return _arena.limbs(); }
+    size_t arenaLimbs() const { return _bank[0].limbs(); } ///< per bank
+    /** Base of arena bank b (0 = the canonical one between calls). */
+    const uint64_t *bankData(unsigned b) const { return _bank[b].data(); }
 
   protected:
     const Netlist &snapshotNetlist() const override { return _netlist; }
@@ -156,18 +159,19 @@ class ParallelCompiledEvaluator : public EvaluatorBase
                          std::vector<std::string> log) override;
 
     /** Evaluate one process's combinational tape for one cycle
-     *  (every _padded lane) — the ONLY hot-loop hook a subclass may
-     *  replace, the partition-parallel analogue of
-     *  CompiledEvaluator::evalCycle().  The default runs the
-     *  interpreted tape; AotParallelEvaluator (aot.hh) dispatches a
-     *  per-partition dlopen'd cycle function.  Called concurrently
-     *  from the worker pool (and from the master for process 0), so
-     *  an override must only read shared state and write the
-     *  process's private arena region — exactly what the emitted
-     *  tape code does.  Stage copies, commits, effects and the
-     *  two-barrier rendezvous stay in this class, so an executor
-     *  swap cannot drift semantically or break the protocol. */
-    virtual void computeTape(size_t proc_index);
+     *  (every _padded lane) against the arena bank based at A — the
+     *  ONLY hot-loop hook a subclass may replace, the partition-
+     *  parallel analogue of CompiledEvaluator::evalCycle().  The
+     *  default runs the interpreted tape; AotParallelEvaluator
+     *  (aot.hh) dispatches a per-partition dlopen'd cycle function.
+     *  Both banks share one layout, so the same code runs on either.
+     *  Called concurrently from the worker pool (and from the master
+     *  for process 0), so an override must only read shared state and
+     *  write the process's private region of A — exactly what the
+     *  emitted tape code does.  Register sends, memory writes, effects
+     *  and the barrier stay in this class, so an executor swap cannot
+     *  drift semantically or break the protocol. */
+    virtual void computeTape(size_t proc_index, uint64_t *A);
 
     // Read-only introspection for the AOT subclass's per-partition
     // codegen (workers are parked between step()/run() calls, so
@@ -177,16 +181,16 @@ class ParallelCompiledEvaluator : public EvaluatorBase
         return _procs[p].tape;
     }
     const std::vector<tape::MemState> &memStates() const { return _mems; }
-    uint64_t *arenaData() { return _arena.data(); }
     unsigned paddedLanes() const { return _padded; }
 
   private:
-    /** Pre-barrier copy of a shared (RegRead) commit operand into the
-     *  process's private staging, so the commit phase never reads a
-     *  slot another process may be committing.  Both blocks are
-     *  lane-strided with the same stride, so one copy of `limbs`
-     *  (pre-multiplied: per-lane limb count x lanes) moves every
-     *  lane. */
+    /** Pre-barrier copy of a shared (RegRead) memory-write operand
+     *  into the owner's private staging: the owner applies cycle k's
+     *  writes after the barrier, when other processes already send
+     *  cycle k+1's next register values into the bank the operand was
+     *  read from.  Both blocks are lane-strided with the same stride, so
+     *  one copy of `limbs` (pre-multiplied: per-lane limb count x
+     *  lanes) moves every lane. */
     struct StageCopy
     {
         uint32_t dst, src, limbs;
@@ -194,8 +198,8 @@ class ParallelCompiledEvaluator : public EvaluatorBase
 
     struct RegCommit
     {
-        uint32_t dst;   ///< shared register-file slot (owned)
-        uint32_t src;   ///< private, staged, or stable shared slot
+        uint32_t dst;   ///< owned register-file slot (in the next bank)
+        uint32_t src;   ///< next-value slot (in the current bank)
         uint32_t limbs; ///< per lane (also the lane stride)
     };
 
@@ -210,17 +214,42 @@ class ParallelCompiledEvaluator : public EvaluatorBase
     struct Proc
     {
         std::vector<tape::Instr> tape;
-        std::vector<StageCopy> stages;
+        std::vector<StageCopy> stages; ///< memory-write operands only
         std::vector<RegCommit> regCommits;
         std::vector<MemCommit> memCommits;
     };
 
+    /** The master's verdict on one Vcycle, published before it
+     *  arrives at the barrier (see the protocol notes above
+     *  workerLoop).  Lane l is active in the NEXT Vcycle iff
+     *  commit[l] && !finish[l]. */
+    struct alignas(exec::kCacheLine) Decision
+    {
+        bool more = false;           ///< the batch continues
+        bool allActive = false;      ///< every lane active next Vcycle
+        std::vector<uint8_t> commit; ///< per lane: this Vcycle commits
+        std::vector<uint8_t> finish; ///< per lane: $finish fired
+    };
+
     void compile(MergeAlgo algo);
-    void computeProc(size_t proc_index);
-    void commitProc(const Proc &proc);
+    /** Compute process p on bank A, stage its memory-write operands
+     *  and send its registers' next values into bank next, for the
+     *  lanes `active` says are live in this Vcycle. */
+    void computeAndSend(size_t p, uint64_t *A, uint64_t *next,
+                        const Decision &active);
+    /** Apply one process's memory writes of the Vcycle computed on
+     *  bank A, for the lanes d commits. */
+    void applyWrites(const Proc &proc, const uint64_t *A,
+                     const Decision &d);
+    /** The master's pre-arrival half: fire side effects against bank
+     *  A and fill d.  A throwing display sink's exception is returned
+     *  (held until the barrier completed), with no lane committing. */
+    tape::Effects::FireResult decide(Decision &d, const uint64_t *A,
+                                     uint64_t left);
+    /** Count one arrival and wait for the barrier's `target`. */
+    void arrive(uint64_t target);
     void workerLoop(size_t proc_index);
     SimStatus runBatch(uint64_t max_cycles);
-    SimStatus runBatchScalar(uint64_t max_cycles); ///< 1-lane fast path
     void recountActive();
 
     // Rendezvous waits honouring the configured WaitPolicy: Spin
@@ -287,46 +316,50 @@ class ParallelCompiledEvaluator : public EvaluatorBase
     // padded lanes stay frozen at init and invisible.
     unsigned _lanes;
     unsigned _padded;
-    exec::Arena _arena;
+    /// The two banks, one layout.  Constants and inputs are mirrored
+    /// in both; between calls bank 0 holds every lane's registers,
+    /// and a frozen lane's registers are mirrored in both banks (no
+    /// process writes a frozen lane, so they stay mirrored).
+    exec::Arena _bank[2];
     std::vector<uint32_t> _sourceSlot; ///< node id -> slot (Const/Input)
     std::vector<uint32_t> _regSlot;    ///< reg id -> register-file slot
     std::vector<tape::MemState> _mems;
-    std::vector<Proc> _procs;
+    std::vector<Proc> _procs; ///< [0] holds the effects, if any
     tape::Effects _effects;
     NetlistPartitionStats _stats;
     unsigned _numThreads = 1;
     WaitPolicy _waitPolicy = WaitPolicy::Spin;
 
-    // Two-barrier worker-pool rendezvous.  The master participates by
-    // running process 0 inline; workers run processes 1..N-1.  All
+    // One-barrier worker-pool rendezvous.  The master participates by
+    // running process 0 inline; workers run processes 1..N-1.
+    // _computeGen starts a batch (workers park on it between run() /
+    // step() calls); the master publishes _batchArrivals, _batchSeq
+    // and _start before bumping it.  Within a batch every participant
+    // bumps _arrivals once per Vcycle and waits for the Vcycle's
+    // monotonic target, so no per-cycle reset is needed.  All
     // cross-thread data movement is ordered through the release/
-    // acquire chains on these counters.  _computeGen starts a batch
-    // (workers park on it between run()/step() calls); within a batch
-    // only _commitGen advances per cycle, and the done-counters count
-    // monotonically against master-side targets so no per-cycle reset
-    // is needed.
-    std::atomic<uint64_t> _computeGen{0};
-    std::atomic<uint64_t> _commitGen{0};
-    std::atomic<uint64_t> _computeDone{0};
-    std::atomic<uint64_t> _commitDone{0};
+    // acquire chains on these two counters.
+    // The counter, the per-batch fields and each Decision (aligned by
+    // its type) sit on their own cache lines, apart from the master's
+    // per-cycle state below, so no Vcycle pays for false sharing.
+    alignas(exec::kCacheLine) std::atomic<uint64_t> _arrivals{0};
+    alignas(exec::kCacheLine) std::atomic<uint64_t> _computeGen{0};
     std::atomic<bool> _shutdown{false};
-    bool _doCommit = false;  ///< any lane commits (master->workers,
-                             ///< ordered by _commitGen)
-    bool _allCommit = false; ///< every lane commits (fast path)
-    bool _batchMore = false; ///< more cycles in this batch
-    std::vector<uint8_t> _laneCommit; ///< per-lane commit flags (same
-                                      ///< ordering as _doCommit)
-    uint64_t _computeTarget = 0; ///< master-only done-counter targets
-    uint64_t _commitTarget = 0;
-    mutable std::mutex _waitMx;             ///< WaitPolicy::Block only
+    uint64_t _batchArrivals = 0; ///< _arrivals at batch start
+    uint64_t _batchSeq = 0;      ///< _seq at batch start
+    Decision _start; ///< lanes active at batch start (commit flags)
+    Decision _decision[2]; ///< indexed by Vcycle sequence parity
+    mutable std::mutex _waitMx; ///< WaitPolicy::Block only
     mutable std::condition_variable _waitCv;
     std::vector<std::thread> _pool;
 
-    // Per-lane run state; _cycle is the engine-level (max-lane) view.
+    // Master-only run state; _cycle is the engine-level (max-lane)
+    // view.
+    alignas(exec::kCacheLine) uint64_t _seq = 0; ///< Vcycles run, ever
     uint64_t _cycle = 0;
     unsigned _active; ///< lanes not yet finished/failed
     std::vector<LaneState> _lane;
-    std::vector<uint8_t> _laneFinish; ///< this cycle's $finish flags
+    std::vector<uint8_t> _frozenBank; ///< bank a lane froze in (master)
 };
 
 } // namespace manticore::netlist

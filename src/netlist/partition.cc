@@ -1,6 +1,7 @@
 #include "netlist/partition.hh"
 
 #include <algorithm>
+#include <numeric>
 #include <unordered_set>
 
 #include "support/limbops.hh"
@@ -11,6 +12,8 @@ namespace manticore::netlist {
 namespace lo = ::manticore::limbops;
 
 namespace {
+
+constexpr size_t kNone = ~size_t{0};
 
 /** Per-node evaluation-cost proxy: the limb count, so a 200-bit
  *  multiply weighs more than a 1-bit AND (the netlist analogue of the
@@ -76,6 +79,73 @@ makeCone(const Netlist &nl, const std::vector<NodeId> &sinks)
     return seed;
 }
 
+std::vector<uint32_t>
+sortedUnion(const std::vector<uint32_t> &a, const std::vector<uint32_t> &b)
+{
+    std::vector<uint32_t> out;
+    out.reserve(a.size() + b.size());
+    std::set_union(a.begin(), a.end(), b.begin(), b.end(),
+                   std::back_inserter(out));
+    return out;
+}
+
+/** Merge `from` into `into`: the union of two cones and everything
+ *  they own. */
+void
+absorb(Seed &into, const Seed &from)
+{
+    into.nodes = sortedUnion(into.nodes, from.nodes);
+    into.registers.insert(into.registers.end(), from.registers.begin(),
+                          from.registers.end());
+    into.memWrites = sortedUnion(into.memWrites, from.memWrites);
+    into.reads = sortedUnion(into.reads, from.reads);
+    into.effects |= from.effects;
+}
+
+/** Fold every seed whose cone reads a written memory into the seed
+ *  writing it (transitively): the writer applies cycle k's writes
+ *  after the Vcycle barrier, while the other processes already
+ *  compute cycle k+1, so no other process may read the memory.
+ *  writer[m] is memory m's write seed, or kNone for a read-only
+ *  memory, whose reads stay free to duplicate.  Seeds keep their
+ *  order, so a netlist without written memories splits unchanged. */
+std::vector<Seed>
+anchorMemoryReads(const Netlist &nl, std::vector<Seed> seeds,
+                  const std::vector<size_t> &writer)
+{
+    std::vector<size_t> root(seeds.size());
+    std::iota(root.begin(), root.end(), size_t{0});
+    auto find = [&](size_t s) {
+        while (root[s] != s)
+            s = root[s] = root[root[s]];
+        return s;
+    };
+    for (size_t s = 0; s < seeds.size(); ++s) {
+        for (NodeId id : seeds[s].nodes) {
+            const Node &n = nl.node(id);
+            if (n.kind != OpKind::MemRead || writer[n.memId] == kNone)
+                continue;
+            size_t a = find(s), b = find(writer[n.memId]);
+            root[std::max(a, b)] = std::min(a, b);
+        }
+    }
+
+    // Roots are the smallest index of their group, so each group
+    // lands where its first seed was.
+    std::vector<Seed> out;
+    std::vector<size_t> at(seeds.size(), kNone);
+    for (size_t s = 0; s < seeds.size(); ++s) {
+        size_t r = find(s);
+        if (at[r] == kNone) {
+            at[r] = out.size();
+            out.push_back(std::move(seeds[s]));
+        } else {
+            absorb(out[at[r]], seeds[s]);
+        }
+    }
+    return out;
+}
+
 std::vector<Seed>
 split(const Netlist &nl)
 {
@@ -94,6 +164,7 @@ split(const Netlist &nl)
     for (size_t w = 0; w < nl.memWrites().size(); ++w)
         writes_of[nl.memWrites()[w].mem].push_back(
             static_cast<uint32_t>(w));
+    std::vector<size_t> writer(nl.numMemories(), kNone);
     for (size_t m = 0; m < nl.numMemories(); ++m) {
         if (writes_of[m].empty())
             continue;
@@ -106,6 +177,7 @@ split(const Netlist &nl)
         }
         Seed s = makeCone(nl, sinks);
         s.memWrites = writes_of[m];
+        writer[m] = seeds.size();
         seeds.push_back(std::move(s));
     }
 
@@ -129,17 +201,7 @@ split(const Netlist &nl)
         s.effects = true;
         seeds.push_back(std::move(s));
     }
-    return seeds;
-}
-
-std::vector<uint32_t>
-sortedUnion(const std::vector<uint32_t> &a, const std::vector<uint32_t> &b)
-{
-    std::vector<uint32_t> out;
-    out.reserve(a.size() + b.size());
-    std::set_union(a.begin(), a.end(), b.begin(), b.end(),
-                   std::back_inserter(out));
-    return out;
+    return anchorMemoryReads(nl, std::move(seeds), writer);
 }
 
 /** Merging machinery shared by both algorithms — the compiler
@@ -215,15 +277,11 @@ class Merger
         MANTICORE_ASSERT(a != b && _alive[a] && _alive[b], "bad merge");
         Seed &pa = _procs[a];
         Seed &pb = _procs[b];
-        pa.nodes = sortedUnion(pa.nodes, pb.nodes);
+        absorb(pa, pb);
         size_t w = 0;
         for (NodeId id : pa.nodes)
             w += nodeWeight(_nl, id);
         _weight[a] = w;
-        pa.registers.insert(pa.registers.end(), pb.registers.begin(),
-                            pb.registers.end());
-        pa.memWrites = sortedUnion(pa.memWrites, pb.memWrites);
-        pa.effects |= pb.effects;
         // Re-point b's readership at a.
         for (RegId r : pb.reads) {
             auto &rd = _readers[r];
@@ -231,7 +289,6 @@ class Merger
             if (std::find(rd.begin(), rd.end(), a) == rd.end())
                 rd.push_back(a);
         }
-        pa.reads = sortedUnion(pa.reads, pb.reads);
         pb = Seed{};
         for (int n : _neighbors[b]) {
             auto &nn = _neighbors[n];

@@ -11,17 +11,21 @@
  *    allowed, so cones are independent and no anchored-union fixpoint
  *    is needed;
  *  - all writes to the same memory stay together (commit ordering of
- *    same-address writes must match the netlist's program order);
- *    asynchronous MemReads are free and may be duplicated, because
- *    memory words are read-only during the compute phase;
+ *    same-address writes must match the netlist's program order),
+ *    and so does every asynchronous MemRead of a written memory: the
+ *    evaluator's owner applies cycle k's writes after the Vcycle
+ *    barrier, while the other processes already compute cycle k+1,
+ *    so only the owner may read the memory.  MemReads of read-only
+ *    memories are free and may be duplicated;
  *  - all side effects (asserts / displays / $finish) stay together —
  *    the analogue of the paper's single privileged process — so the
  *    master thread can fire them in deterministic netlist order.
  *
- * Cross-partition dataflow is therefore restricted to end-of-Vcycle
- * register commits (the evaluator's shared register file), exactly
- * the SEND-at-barrier structure of the paper; `estimatedSends` counts
- * those (owner, foreign-reader) register words.
+ * Cross-partition dataflow is therefore restricted to register
+ * sends into the evaluator's next register bank, which the Vcycle
+ * barrier publishes — exactly the SEND-at-barrier structure of the
+ * paper; `estimatedSends` counts those (owner, foreign-reader)
+ * register words.
  *
  * Merging provides the same two strategies as the ISA-level
  * partitioner: the communication-aware balanced heuristic (B) and the
@@ -69,7 +73,8 @@ struct NetlistProcess
     /// Registers whose commit this process owns.
     std::vector<RegId> registers;
     /// Indices into Netlist::memWrites() this process applies, in
-    /// program order.  All writes to one memory land in one process.
+    /// program order.  All writes to one memory, and all reads of
+    /// it, land in one process.
     std::vector<uint32_t> memWrites;
     /// True for the (single) process holding the side-effect cone.
     bool effects = false;

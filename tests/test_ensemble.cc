@@ -18,8 +18,10 @@
 
 #include "engine/crosscheck.hh"
 #include "engine/registry.hh"
+#include "exec/arena.hh"
 #include "netlist/builder.hh"
 #include "netlist/evaluator.hh"
+#include "netlist/parallel_evaluator.hh"
 #include "support/rng.hh"
 #include "runtime/waveform.hh"
 #include "tests/random_circuit.hh"
@@ -424,4 +426,33 @@ TEST(Ensemble, NonEnsembleEnginesRejectLanes)
                  "no ensemble mode");
     EXPECT_DEATH(engine::create("machine", nl, opts),
                  "no ensemble mode");
+}
+
+TEST(Arena, StorageStartsOnACacheLine)
+{
+    // align() promises that distinct worker threads never write the
+    // same cache line, which holds only if the storage itself starts
+    // on one.
+    auto onLine = [](const uint64_t *p) {
+        return reinterpret_cast<uintptr_t>(p) % exec::kCacheLine == 0;
+    };
+    for (unsigned words : {1u, 3u, 5u, 100u}) {
+        exec::Arena arena(3);
+        for (unsigned w = 0; w < words; ++w)
+            arena.alloc(1 + 40 * w);
+        arena.seal();
+        EXPECT_TRUE(onLine(arena.data())) << words << " words";
+        exec::Arena bank = arena; // a second bank, as the parallel engine makes
+        EXPECT_TRUE(onLine(bank.data())) << words << " words, copy";
+    }
+
+    netlist::EvalOptions options;
+    options.numThreads = 3;
+    netlist::ParallelCompiledEvaluator par(finishAtInputDesign(), options);
+    par.setInput("x", BitVector(16, 40));
+    for (uint64_t n : {0u, 1u, 2u}) { // both bank hand-offs
+        par.run(n);
+        EXPECT_TRUE(onLine(par.bankData(0))) << "after run(" << n << ")";
+        EXPECT_TRUE(onLine(par.bankData(1))) << "after run(" << n << ")";
+    }
 }

@@ -9,16 +9,24 @@
  *    memories, display transcript (side-effect ordering), status and
  *    failure message.  Run it under TSan via
  *    `cmake -DMANTICORE_SANITIZE=thread` + `ctest -L parallel`.
+ *  - Batch boundaries: run(n) over batch lengths of both parities,
+ *    at several thread counts, both wait policies and 1 or 3 lanes,
+ *    against per-lane references — the one-barrier Vcycle leaves the
+ *    state in either arena bank and memory writes pending when a
+ *    batch ends, and this pins the hand-off.
  *  - Determinism: identical waveform samples across repeated runs,
  *    thread counts, and merge algorithms.
  *  - Partition invariants: unique register/memory-write/effect
- *    ownership, operand-closed cones, process-count bound.
+ *    ownership, reads of a written memory kept with its writes,
+ *    operand-closed cones, process-count bound.
  *  - The serial engine's commit-ordering corner cases, replayed on
- *    the parallel engine (staging through the shared register file).
+ *    the parallel engine (sends read the current bank and write the
+ *    next one; memory-write operands are staged).
  */
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <sstream>
 #include <vector>
 
@@ -40,6 +48,7 @@ using netlist::OpKind;
 using netlist::ParallelCompiledEvaluator;
 using netlist::RegId;
 using netlist::SimStatus;
+using netlist::WaitPolicy;
 using manticore::testing::RandomCircuit;
 using manticore::testing::randomValue;
 
@@ -89,6 +98,42 @@ runDifferential(const Netlist &nl,
             break;
     }
     ASSERT_EQ(ref.displayLog(), par.displayLog());
+}
+
+/** Lanes freeze mid-batch here: c moves within a batch while the
+ *  inputs change only between batches, so whether and when a lane
+ *  trips its assert or $finishes depends on its own stimulus.  The
+ *  memory is written by acc's cone and read by it, and two more
+ *  register chains give the partitioner cones to spread. */
+Netlist
+freezingDesign()
+{
+    netlist::CircuitBuilder b("freezing");
+    auto in0 = b.input("in0", 8);
+    auto in1 = b.input("in1", 8);
+    auto c = b.reg("c", 16);
+    b.next(c, c.read() + b.lit(16, 1));
+    auto mem = b.memory("m", 32, 8);
+    auto acc = b.reg("acc", 32, 1);
+    netlist::Signal addr = c.read().slice(0, 3);
+    b.next(acc, acc.read() + mem.read(addr) + in0.zext(32));
+    mem.write(addr + b.lit(3, 3), acc.read() ^ c.read().zext(32),
+              c.read().bit(0));
+    auto mix = b.reg("mix", 64, 7);
+    b.next(mix, mix.read() * b.lit(64, 0x9e3779b97f4a7c15ull) +
+                    c.read().zext(64));
+    auto chain = b.reg("chain", 32, 3);
+    b.next(chain, (chain.read() ^ in1.zext(32)) +
+                      mix.read().slice(0, 32));
+    b.display(c.read().slice(0, 2) == b.lit(2, 0), "c=%d acc=%x",
+              {c.read(), acc.read()});
+    netlist::Signal late = c.read() >= b.lit(16, 17);
+    b.assertAlways(late & in0.bit(7),
+                   c.read().slice(0, 4) != in0.slice(0, 4),
+                   "lane tripwire");
+    b.finish(late & (in1.slice(6, 2) == b.lit(2, 0)) &
+             (c.read().slice(0, 5) == in1.slice(0, 5)));
+    return b.build();
 }
 
 std::string
@@ -159,6 +204,86 @@ TEST(ParallelEvaluator, DesignChecksumsPass)
     }
 }
 
+TEST(ParallelEvaluator, BatchesOfEveryLengthMatchReference)
+{
+    // A batch of odd length ends with the state in bank 1 and one of
+    // even length in bank 0; a lane that froze mid-batch sits in
+    // either; the last Vcycle's memory writes are pending at the
+    // batch end; and the decision slot a batch starts on alternates.
+    // Inputs change only between batches, so a stale input in the
+    // bank a batch switches to shows as well.
+    const uint64_t kBatch[] = {1, 2, 3, 5, 8};
+    for (uint64_t seed = 0; seed <= 6; ++seed) {
+        // Seed 0 is freezingDesign(); the rest are random circuits.
+        RandomCircuit gen(seed * 0x51ed27ull);
+        Netlist nl = seed == 0 ? freezingDesign() : gen.build();
+        const std::vector<unsigned> widths =
+            seed == 0 ? std::vector<unsigned>{8, 8} : gen.inputWidths();
+        std::vector<NodeId> inputs;
+        for (size_t i = 0; i < widths.size(); ++i)
+            inputs.push_back(nl.findInput("in" + std::to_string(i)));
+        for (unsigned threads : {2u, 3u, 4u})
+        for (WaitPolicy policy : {WaitPolicy::Spin, WaitPolicy::Block})
+        for (unsigned lanes : {1u, 3u}) {
+            EvalOptions options;
+            options.numThreads = threads;
+            options.waitPolicy = policy;
+            options.lanes = lanes;
+            ParallelCompiledEvaluator par(nl, options);
+            std::vector<std::unique_ptr<Evaluator>> refs;
+            for (unsigned l = 0; l < lanes; ++l)
+                refs.push_back(std::make_unique<Evaluator>(nl));
+            Rng drive(seed ^ (threads * 31 + lanes));
+
+            for (unsigned b = 0; b < 20; ++b) {
+                uint64_t n = kBatch[b % 5];
+                std::string where = "seed " + std::to_string(seed) +
+                                    " threads " + std::to_string(threads) +
+                                    " policy " +
+                                    std::to_string(static_cast<int>(policy)) +
+                                    " lanes " + std::to_string(lanes) +
+                                    " batch " + std::to_string(b) +
+                                    " n " + std::to_string(n);
+                SCOPED_TRACE(where);
+                for (unsigned l = 0; l < lanes; ++l) {
+                    for (size_t i = 0; i < inputs.size(); ++i) {
+                        BitVector v = randomValue(drive, widths[i]);
+                        refs[l]->driveInput(inputs[i], v);
+                        par.driveInputLane(l, inputs[i], v);
+                    }
+                    refs[l]->run(n);
+                }
+                par.run(n);
+
+                bool live = false;
+                for (unsigned l = 0; l < lanes; ++l) {
+                    const Evaluator &ref = *refs[l];
+                    live |= ref.status() == SimStatus::Ok;
+                    ASSERT_EQ(ref.status(), par.laneStatus(l));
+                    ASSERT_EQ(ref.cycle(), par.laneCycle(l));
+                    ASSERT_EQ(ref.failureMessage(),
+                              par.laneFailureMessage(l));
+                    ASSERT_EQ(ref.displayLog(), par.laneDisplayLog(l));
+                    for (size_t r = 0; r < nl.numRegisters(); ++r)
+                        ASSERT_EQ(ref.regValue(static_cast<RegId>(r)),
+                                  par.regValueLane(l, static_cast<RegId>(r)))
+                            << "lane " << l << " reg " << r;
+                    for (size_t m = 0; m < nl.numMemories(); ++m) {
+                        MemId id = static_cast<MemId>(m);
+                        for (uint64_t a = 0; a < nl.memory(id).depth; ++a)
+                            ASSERT_EQ(ref.memValue(id, a),
+                                      par.memValueLane(l, id, a))
+                                << "lane " << l << " mem " << m << "["
+                                << a << "]";
+                    }
+                }
+                if (!live)
+                    break;
+            }
+        }
+    }
+}
+
 TEST(ParallelEvaluator, DeterministicWaveforms)
 {
     Netlist nl = designs::buildMc(1u << 20);
@@ -174,9 +299,14 @@ TEST(ParallelEvaluator, DeterministicWaveforms)
 
 TEST(ParallelEvaluator, PartitionInvariants)
 {
-    RandomCircuit gen(0xbee5);
-    Netlist nl = gen.build();
+    std::vector<Netlist> netlists;
+    netlists.push_back(RandomCircuit(0xbee5).build());
+    netlists.push_back(freezingDesign());
+    for (uint64_t seed = 1; seed <= 6; ++seed)
+        netlists.push_back(RandomCircuit(seed * 0x51ed27ull).build());
+    for (const Netlist &nl : netlists)
     for (MergeAlgo algo : {MergeAlgo::Balanced, MergeAlgo::Lpt}) {
+        SCOPED_TRACE(nl.name() + " " + mergeAlgoName(algo));
         NetlistPartition part = netlist::partitionNetlist(nl, 4, algo);
         ASSERT_LE(part.processes.size(), 4u);
         ASSERT_EQ(part.stats.mergedProcesses, part.processes.size());
@@ -220,6 +350,19 @@ TEST(ParallelEvaluator, PartitionInvariants)
             for (size_t v = 0; v < w; ++v)
                 if (nl.memWrites()[w].mem == nl.memWrites()[v].mem)
                     EXPECT_EQ(write_owner[w], write_owner[v]);
+        // ...and so does every read of a written memory: the owner
+        // applies a cycle's writes after the barrier, while the other
+        // processes already compute the next cycle.
+        std::vector<int> mem_owner(nl.numMemories(), -1);
+        for (size_t w = 0; w < nl.memWrites().size(); ++w)
+            mem_owner[nl.memWrites()[w].mem] = write_owner[w];
+        for (size_t p = 0; p < part.processes.size(); ++p)
+            for (NodeId id : part.processes[p].nodes)
+                if (nl.node(id).kind == OpKind::MemRead &&
+                    mem_owner[nl.node(id).memId] != -1)
+                    EXPECT_EQ(mem_owner[nl.node(id).memId],
+                              static_cast<int>(p))
+                        << "written memory read outside its owner";
         EXPECT_LE(effect_procs, 1u);
         EXPECT_GE(part.stats.totalCost, part.stats.estimatedMaxCost);
     }
@@ -227,9 +370,10 @@ TEST(ParallelEvaluator, PartitionInvariants)
 
 TEST(ParallelEvaluator, RegisterSwapUsesPreCommitValues)
 {
-    // a.next = b, b.next = a: both commits must stage through the
-    // private regions because their sources live in the shared
-    // register file that is being overwritten in the same phase.
+    // a.next = b, b.next = a, owned by different processes: each send
+    // reads the other register from the current bank, which nobody
+    // writes during the Vcycle, and writes the next bank — so both
+    // see pre-commit values with no stage copy.
     netlist::CircuitBuilder b("swap");
     auto ra = b.reg("a", 64, 1);
     auto rb = b.reg("b", 64, 2);
