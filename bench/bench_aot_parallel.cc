@@ -1,15 +1,16 @@
 /**
  * @file
- * The PR 10 headline numbers: both new AOT variants against their
- * interpreted counterparts, appended to BENCH_aot_parallel.json.
+ * Both AOT variants against their interpreted counterparts, written
+ * to BENCH_aot_parallel.json.
  *
  * Partition columns: netlist.parallel.aot (each partition's tape
  * compiled into its own cached object, dispatched inside the
- * untouched two-barrier Vcycle) vs the interpreted netlist.parallel
- * on the large Fig. 6 builds.  On a 1-hardware-thread host these
- * columns are rendezvous/balance-bound — the compute phase the AOT
- * objects accelerate is a fraction of the Vcycle — so the partition
- * speedup there is a floor, not the story.
+ * unchanged one-barrier Vcycle) vs the interpreted netlist.parallel
+ * and vs the serial netlist.aot, on the large Fig. 6 builds, each
+ * engine with its default options.  Both partition-parallel engines
+ * pick their own process count (the merge weighs each executor's
+ * sync cost against the straggler, so numThreads is only a bound),
+ * and each row prints both counts.
  *
  * Lane columns: the laned AOT codegen (netlist.aot with lanes=16 —
  * lane-width-templated bodies compiled -O3 with the probed SIMD
@@ -100,15 +101,17 @@ main(int argc, char **argv)
                            "  \"partition_rows\": [\n");
 
     // ---- partition columns -----------------------------------------
-    std::printf("per-partition AOT vs %s (large builds):\n",
+    std::printf("per-partition AOT vs %s and serial netlist.aot (large "
+                "builds, default options):\n",
                 par_baseline.c_str());
-    std::printf("%8s  %6s  %14s  %14s  %9s\n", "bench", "parts",
-                "interp kHz", "aot kHz", "speedup");
-    std::vector<double> part_speedups;
+    std::printf("%8s  %5s %12s  %5s %12s  %12s  %9s  %9s\n", "bench",
+                "procs", "interp kHz", "procs", "aot kHz", "serial kHz",
+                "vs interp", "vs serial");
+    std::vector<double> part_speedups, serial_ratios;
     bool first = true;
     for (const designs::Benchmark &bm : designs::allBenchmarksLarge()) {
-        if (bm.name != "mm" && bm.name != "rv32r" &&
-            bm.name != "jpeg" && bm.name != "noc")
+        if (bm.name != "mm" && bm.name != "mc" && bm.name != "rv32r" &&
+            bm.name != "cgra" && bm.name != "noc" && bm.name != "jpeg")
             continue;
         uint64_t horizon = bench::measureHorizon(bm.name);
         netlist::Netlist nl = bm.build(horizon * 8);
@@ -122,41 +125,57 @@ main(int argc, char **argv)
         auto make_aot = [&]() {
             return engine::create("netlist.parallel.aot", nl, aot);
         };
+        auto make_serial = [&]() {
+            return engine::create("netlist.aot", nl, aot);
+        };
 
-        // First AOT construction pays any cold compile up front so
-        // the measurement loop sees only warm startups; also grab
-        // the partition count for the row.
-        uint64_t parts = 0;
-        {
-            auto warm = make_aot();
-            warm->step(2048);
-            for (const engine::Stat &s : warm->stats())
+        // First AOT constructions pay any cold compile up front so
+        // the measurement loop sees only warm startups; each
+        // partition-parallel engine reports the processes it chose.
+        auto processes = [](const engine::Engine &e) {
+            uint64_t n = 0;
+            for (const engine::Stat &s : e.stats())
                 if (s.name == "processes")
-                    parts = s.value;
-        }
+                    n = s.value;
+            return n;
+        };
+        uint64_t aot_parts = processes(*make_aot());
+        uint64_t interp_parts = processes(*make_interp());
+        make_serial();
 
         double interp_khz = measureBest(make_interp, horizon);
         double aot_khz = measureBest(make_aot, horizon);
+        double serial_khz = measureBest(make_serial, horizon);
         double speedup = interp_khz > 0 ? aot_khz / interp_khz : 0.0;
+        double vs_serial = serial_khz > 0 ? aot_khz / serial_khz : 0.0;
         part_speedups.push_back(speedup);
-        std::printf("%8s  %6llu  %14.1f  %14.1f  %8.2fx\n",
+        serial_ratios.push_back(vs_serial);
+        std::printf("%8s  %5llu %12.1f  %5llu %12.1f  %12.1f  %8.2fx  "
+                    "%8.2fx\n",
                     bm.name.c_str(),
-                    static_cast<unsigned long long>(parts), interp_khz,
-                    aot_khz, speedup);
+                    static_cast<unsigned long long>(interp_parts),
+                    interp_khz, static_cast<unsigned long long>(aot_parts),
+                    aot_khz, serial_khz, speedup, vs_serial);
         if (json) {
             std::fprintf(
                 json,
-                "%s    {\"design\": \"%s\", \"partitions\": %llu, "
-                "\"interpreted_khz\": %.2f, \"aot_khz\": %.2f, "
-                "\"speedup\": %.2f}",
+                "%s    {\"design\": \"%s\", "
+                "\"interpreted_processes\": %llu, "
+                "\"interpreted_khz\": %.2f, \"aot_processes\": %llu, "
+                "\"aot_khz\": %.2f, \"serial_aot_khz\": %.2f, "
+                "\"speedup\": %.2f, \"vs_serial_aot\": %.2f}",
                 first ? "" : ",\n", bm.name.c_str(),
-                static_cast<unsigned long long>(parts), interp_khz,
-                aot_khz, speedup);
+                static_cast<unsigned long long>(interp_parts), interp_khz,
+                static_cast<unsigned long long>(aot_parts), aot_khz,
+                serial_khz, speedup, vs_serial);
             first = false;
         }
     }
     double part_gm = bench::geomean(part_speedups);
-    std::printf("geomean partition speedup: %.2fx\n\n", part_gm);
+    double serial_gm = bench::geomean(serial_ratios);
+    std::printf("geomean partition speedup: %.2fx over %s, %.2fx of "
+                "serial netlist.aot\n\n",
+                part_gm, par_baseline.c_str(), serial_gm);
 
     // ---- lane columns ----------------------------------------------
     struct LaneSpec
@@ -223,8 +242,9 @@ main(int argc, char **argv)
         std::fprintf(json,
                      "\n  ],\n  \"partition_baseline\": \"%s\",\n"
                      "  \"geomean_partition_speedup\": %.2f,\n"
+                     "  \"geomean_vs_serial_aot\": %.2f,\n"
                      "  \"geomean_lane_speedup\": %.2f\n}\n",
-                     par_baseline.c_str(), part_gm, lane_gm);
+                     par_baseline.c_str(), part_gm, serial_gm, lane_gm);
         std::fclose(json);
         std::printf("wrote BENCH_aot_parallel.json\n");
     }

@@ -7,8 +7,8 @@
  *
  * The ensemble amortises per-cycle fixed costs over N decoupled
  * simulations: the serial compiled engine pays one tape dispatch per
- * op for all lanes, the partition-parallel engine pays its two-barrier
- * rendezvous once per ensemble cycle, and the laned ISA tape pays one
+ * op for all lanes, the partition-parallel engine pays its one
+ * barrier once per ensemble cycle, and the laned ISA tape pays one
  * op decode for all lanes — so the fixed cost per simulated cycle
  * drops by a factor of N, and the lane loop itself runs the SIMD
  * kernels from src/exec/.  The overhead-bound micros (ctr32/fifo1k)

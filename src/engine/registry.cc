@@ -210,8 +210,9 @@ registerEngines()
          kNetlistCaps | cap::kBatchedStep | cap::kEnsemble},
         {"netlist.parallel",
          "partition-parallel tapes on a persistent worker pool with "
-         "the two-barrier Vcycle (batched step(n) amortises the "
-         "rendezvous)",
+         "one barrier per Vcycle over two arena banks; the merge "
+         "runs fewer processes than threads, down to one, where the "
+         "barrier costs more than the split saves",
          true,
          kNetlistCaps | cap::kBatchedStep | cap::kEnsemble},
         {"netlist.aot",
@@ -225,7 +226,9 @@ registerEngines()
         {"netlist.parallel.aot",
          "partition-parallel tapes with each partition's tape "
          "AOT-compiled into its own cached object, dispatched inside "
-         "the two-barrier Vcycle",
+         "the one-barrier Vcycle; the merge prices the barrier in "
+         "compiled-code units, so it splits fewer designs than "
+         "netlist.parallel",
          true,
          kNetlistCaps | cap::kBatchedStep | cap::kEnsemble |
              cap::kAotCompiled},

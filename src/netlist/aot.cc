@@ -986,7 +986,14 @@ AotEvaluator::evalCycle()
 
 AotParallelEvaluator::AotParallelEvaluator(Netlist netlist,
                                            const EvalOptions &options)
-    : ParallelCompiledEvaluator(std::move(netlist), options)
+    : AotParallelEvaluator(std::move(netlist), options, kAotSyncCost)
+{
+}
+
+AotParallelEvaluator::AotParallelEvaluator(Netlist netlist,
+                                           const EvalOptions &options,
+                                           size_t sync_cost)
+    : ParallelCompiledEvaluator(std::move(netlist), options, sync_cost)
 {
     // The base constructor has lowered, partitioned and spawned the
     // worker pool — but the workers are parked on the batch

@@ -215,6 +215,16 @@ class AotEvaluator : public CompiledEvaluator
 class AotParallelEvaluator : public ParallelCompiledEvaluator
 {
   public:
+    /** The Vcycle's fixed sync cost with compiled partitions, in
+     *  partition cost units at one lane (see
+     *  ParallelCompiledEvaluator::kTapeSyncCost): a weight unit costs
+     *  ~4-5x less time compiled than interpreted while the barrier
+     *  costs the same, so the same sync is worth ~4-5x the units.
+     *  Calibrated by bench_parallel_evaluator like the tape's, in the
+     *  same three runs: the median of 661, 617 and 1236 units
+     *  (~0.8-1.1 ns per unit, 0.7-1.0 us of sync). */
+    static constexpr size_t kAotSyncCost = 661;
+
     explicit AotParallelEvaluator(Netlist netlist,
                                   const EvalOptions &options = {});
 
@@ -244,6 +254,12 @@ class AotParallelEvaluator : public ParallelCompiledEvaluator
     const std::string &partitionObject(size_t proc_index) const;
 
   protected:
+    /** With another per-lane sync cost than kAotSyncCost — for the
+     *  calibration bench, which also measures the sync-oblivious
+     *  partition (sync_cost 0). */
+    AotParallelEvaluator(Netlist netlist, const EvalOptions &options,
+                         size_t sync_cost);
+
     void computeTape(size_t proc_index, uint64_t *A) override;
 
   private:

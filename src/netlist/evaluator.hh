@@ -195,15 +195,23 @@ enum class WaitPolicy
  *  aot* settings. */
 struct EvalOptions
 {
-    /// Worker-pool size (and partition-count bound); 0 means
-    /// std::thread::hardware_concurrency().
+    /// Upper bound on the partition count, and so on the worker
+    /// pool (processes - 1 workers; the caller runs process 0); 0
+    /// means std::thread::hardware_concurrency().  LPT packs exactly
+    /// min(numThreads, seeds) processes.  Balanced may run fewer,
+    /// down to one process with no worker and no barrier: it weighs
+    /// the Vcycle's fixed sync cost against the straggler
+    /// (partition.hh), with one calibrated constant per executor
+    /// (ParallelCompiledEvaluator::kTapeSyncCost,
+    /// AotParallelEvaluator::kAotSyncCost) divided by the padded lane
+    /// count.
     unsigned numThreads = 0;
     /// Partition merge strategy (§6.1 / Fig. 9): the paper's
     /// communication-aware Balanced heuristic or the LPT baseline.
     MergeAlgo mergeAlgo = MergeAlgo::Balanced;
     /// Ensemble width: advance N decoupled simulations per step —
-    /// one tape dispatch (and, for Parallel, one two-barrier
-    /// rendezvous) amortised over N lanes.  Compiled engines only;
+    /// one tape dispatch (and, for the parallel engines, one barrier
+    /// per Vcycle) amortised over N lanes.  Compiled engines only;
     /// the reference Evaluator is scalar.
     unsigned lanes = 1;
     /// Rendezvous wait policy (parallel engines only).

@@ -61,6 +61,12 @@ ParallelCompiledEvaluator::wakeBlocked() const
 
 ParallelCompiledEvaluator::ParallelCompiledEvaluator(
     Netlist netlist, const EvalOptions &options)
+    : ParallelCompiledEvaluator(std::move(netlist), options, kTapeSyncCost)
+{
+}
+
+ParallelCompiledEvaluator::ParallelCompiledEvaluator(
+    Netlist netlist, const EvalOptions &options, size_t sync_cost)
     : _netlist(std::move(netlist)), _lanes(options.lanes),
       _padded(exec::paddedLaneCount(options.lanes)),
       _bank{exec::Arena(_padded), exec::Arena(_padded)},
@@ -78,7 +84,7 @@ ParallelCompiledEvaluator::ParallelCompiledEvaluator(
         d->finish.assign(_lanes, 0);
     }
     _frozenBank.assign(_lanes, 0);
-    compile(options.mergeAlgo);
+    compile(options.mergeAlgo, sync_cost);
     for (size_t p = 1; p < _procs.size(); ++p)
         _pool.emplace_back([this, p] { workerLoop(p); });
 }
@@ -95,9 +101,10 @@ ParallelCompiledEvaluator::~ParallelCompiledEvaluator()
 }
 
 void
-ParallelCompiledEvaluator::compile(MergeAlgo algo)
+ParallelCompiledEvaluator::compile(MergeAlgo algo, size_t sync_cost)
 {
-    NetlistPartition part = partitionNetlist(_netlist, _numThreads, algo);
+    NetlistPartition part =
+        partitionNetlist(_netlist, _numThreads, algo, sync_cost / _padded);
     _stats = part.stats;
     _mems = tape::buildMemStates(_netlist, _padded);
 

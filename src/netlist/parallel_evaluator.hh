@@ -69,10 +69,27 @@ namespace manticore::netlist {
 class ParallelCompiledEvaluator : public EvaluatorBase
 {
   public:
+    /** The Vcycle's fixed sync cost on the interpreted tape, in
+     *  partition cost units (weighted nodes + sends) at one lane —
+     *  what the one barrier, the wake-ups and the decision hand-off
+     *  cost beyond the straggler's compute.  Balanced merging weighs
+     *  it against the straggler (partition.hh), divided by the padded
+     *  lane count because per-lane compute grows with lanes and the
+     *  barrier does not.  Calibrated by bench_parallel_evaluator
+     *  (fit on vta, noc, cgra, bc and blur; see
+     *  BENCH_parallel_evaluator.json), not probed at start-up, so a
+     *  partition stays a function of (netlist, threads, lanes): the
+     *  median of three fits (164, 318, 180 units; ~3.1-4.0 ns per
+     *  unit, 0.6-1.0 us of sync) on an "Intel(R) Xeon(R) Processor"
+     *  with 4 hardware threads, on top of commit 02c6271. */
+    static constexpr size_t kTapeSyncCost = 180;
+
     /** Keeps its own copy of the netlist (cold data only).  options
-     *  bounds the worker-pool size (0 = hardware concurrency), picks
-     *  the merge strategy, the ensemble width and the rendezvous
-     *  wait policy. */
+     *  bounds the worker-pool size and the partition count (0 =
+     *  hardware concurrency; Balanced may run fewer processes, down
+     *  to one with no worker, where the sync outweighs the split),
+     *  picks the merge strategy, the ensemble width and the
+     *  rendezvous wait policy. */
     explicit ParallelCompiledEvaluator(Netlist netlist,
                                        const EvalOptions &options = {});
     ~ParallelCompiledEvaluator() override;
@@ -133,12 +150,13 @@ class ParallelCompiledEvaluator : public EvaluatorBase
     size_t numProcesses() const { return _procs.size(); }
     unsigned numThreads() const { return _numThreads; }
     /** Threads this evaluator actually OWNS (spawned pool workers —
-     *  the master runs process 0 inline, so this is numThreads()-1,
-     *  and 0 when numThreads == 1).  The multi-tenant service relies
-     *  on the zero-owned-threads mode: with EvalOptions::numThreads
-     *  = 1 every cycle executes entirely on the calling thread, i.e.
-     *  on whatever scheduler worker borrowed the session (see
-     *  src/service/scheduler.hh). */
+     *  the master runs process 0 inline, so this is
+     *  numProcesses()-1: at most numThreads()-1, and 0 when
+     *  numThreads == 1 or the merge chose one process).  The
+     *  multi-tenant service relies on the zero-owned-threads mode:
+     *  with EvalOptions::numThreads = 1 every cycle executes
+     *  entirely on the calling thread, i.e. on whatever scheduler
+     *  worker borrowed the session (see src/service/scheduler.hh). */
     size_t ownedThreads() const { return _pool.size(); }
     WaitPolicy waitPolicy() const { return _waitPolicy; }
     const NetlistPartitionStats &partitionStats() const { return _stats; }
@@ -148,6 +166,11 @@ class ParallelCompiledEvaluator : public EvaluatorBase
     const uint64_t *bankData(unsigned b) const { return _bank[b].data(); }
 
   protected:
+    /** For executors with their own per-lane sync cost (in partition
+     *  cost units; see kTapeSyncCost). */
+    ParallelCompiledEvaluator(Netlist netlist, const EvalOptions &options,
+                              size_t sync_cost);
+
     const Netlist &snapshotNetlist() const override { return _netlist; }
     BitVector inputValueLane(unsigned lane, NodeId input) const override;
     void restoreReg(unsigned lane, RegId id,
@@ -231,7 +254,7 @@ class ParallelCompiledEvaluator : public EvaluatorBase
         std::vector<uint8_t> finish; ///< per lane: $finish fired
     };
 
-    void compile(MergeAlgo algo);
+    void compile(MergeAlgo algo, size_t sync_cost);
     /** Compute process p on bank A, stage its memory-write operands
      *  and send its registers' next values into bank next, for the
      *  lanes `active` says are live in this Vcycle. */

@@ -305,6 +305,16 @@ class Merger
     }
 
     size_t aliveCount() const { return _aliveCount; }
+    /** The straggler's cost. */
+    size_t
+    maxCost() const
+    {
+        size_t c = 0;
+        for (size_t p = 0; p < _procs.size(); ++p)
+            if (_alive[p])
+                c = std::max(c, cost(static_cast<int>(p)));
+        return c;
+    }
     bool alive(int p) const { return _alive[p]; }
     size_t numProcs() const { return _procs.size(); }
     const std::unordered_set<int> &neighbors(int p) const
@@ -397,68 +407,110 @@ class Merger
     size_t _splitEdges = 0;
 };
 
-/** Communication-aware balanced merging (B): repeatedly merge the
- *  cheapest process with the partner minimising the merged cost —
- *  neighbours preferred (shared registers stop being sends), plus the
- *  smallest outsider so hub-and-spoke designs don't accrete onto the
- *  hub.  Past the process budget, keep merging only while it cannot
- *  create a new straggler. */
+/** One step of the Balanced merge sequence: the cheapest process p
+ *  and the partner q minimising the merged cost — neighbours
+ *  preferred (shared registers stop being sends), plus the smallest
+ *  outsider so hub-and-spoke designs don't accrete onto the hub.
+ *  q is -1 when p has no partner left. */
+struct MergeStep
+{
+    int p = -1;
+    int q = -1;
+    size_t merged = 0;  ///< cost of p and q merged
+    size_t maxCost = 0; ///< the straggler's cost before the merge
+};
+
+MergeStep
+nextMerge(const Merger &m)
+{
+    MergeStep s;
+    size_t best_cost = 0;
+    for (size_t p = 0; p < m.numProcs(); ++p) {
+        if (!m.alive(static_cast<int>(p)))
+            continue;
+        size_t c = m.cost(static_cast<int>(p));
+        s.maxCost = std::max(s.maxCost, c);
+        if (s.p == -1 || c < best_cost) {
+            s.p = static_cast<int>(p);
+            best_cost = c;
+        }
+    }
+
+    auto consider = [&](int q) {
+        if (q == s.p || !m.alive(q))
+            return;
+        size_t c = m.mergedCost(s.p, q);
+        if (s.q == -1 || c < s.merged) {
+            s.q = q;
+            s.merged = c;
+        }
+    };
+    for (int q : m.neighbors(s.p))
+        consider(q);
+    int smallest_other = -1;
+    size_t smallest_cost = 0;
+    for (size_t q = 0; q < m.numProcs(); ++q) {
+        int qi = static_cast<int>(q);
+        if (qi == s.p || !m.alive(qi) || m.neighbors(s.p).count(qi))
+            continue;
+        size_t c = m.cost(qi);
+        if (smallest_other == -1 || c < smallest_cost) {
+            smallest_other = qi;
+            smallest_cost = c;
+        }
+    }
+    if (smallest_other != -1)
+        consider(smallest_other);
+    return s;
+}
+
+/** Predicted Vcycle cost of the merger's current state: the
+ *  straggler, plus the sync that only more than one process pays. */
+size_t
+vcycleCost(const Merger &m, size_t sync_cost)
+{
+    return m.maxCost() + (m.aliveCount() > 1 ? sync_cost : 0);
+}
+
+/** Communication-aware balanced merging (B): follow the merge
+ *  sequence down to the process budget, then keep merging only while
+ *  it cannot create a new straggler (§6.1).  That stop ignores the
+ *  Vcycle's fixed sync, so from it the sequence continues down to one
+ *  process and the state with the lowest vcycleCost() wins; the stop
+ *  wins ties.  States before the stop cannot win — the ones within
+ *  the budget never raise the straggler and pay the same sync — so
+ *  the candidates are the stop plus at most num_processes - 1 more
+ *  merges. */
 void
-mergeBalanced(Merger &m, unsigned num_processes)
+mergeBalanced(Merger &m, unsigned num_processes, size_t sync_cost)
 {
     while (m.aliveCount() > 1) {
-        int best_p = -1;
-        size_t best_cost = 0;
-        size_t max_cost = 0;
-        for (size_t p = 0; p < m.numProcs(); ++p) {
-            if (!m.alive(static_cast<int>(p)))
-                continue;
-            size_t c = m.cost(static_cast<int>(p));
-            max_cost = std::max(max_cost, c);
-            if (best_p == -1 || c < best_cost) {
-                best_p = static_cast<int>(p);
-                best_cost = c;
-            }
-        }
-
-        int best_q = -1;
-        size_t best_merged = 0;
-        auto consider = [&](int q) {
-            if (q == best_p || !m.alive(q))
-                return;
-            size_t c = m.mergedCost(best_p, q);
-            if (best_q == -1 || c < best_merged) {
-                best_q = q;
-                best_merged = c;
-            }
-        };
-        for (int q : m.neighbors(best_p))
-            consider(q);
-        int smallest_other = -1;
-        size_t smallest_cost = 0;
-        for (size_t q = 0; q < m.numProcs(); ++q) {
-            int qi = static_cast<int>(q);
-            if (qi == best_p || !m.alive(qi) ||
-                m.neighbors(best_p).count(qi))
-                continue;
-            size_t c = m.cost(qi);
-            if (smallest_other == -1 || c < smallest_cost) {
-                smallest_other = qi;
-                smallest_cost = c;
-            }
-        }
-        if (smallest_other != -1)
-            consider(smallest_other);
-        if (best_q == -1)
+        MergeStep s = nextMerge(m);
+        if (s.q == -1 ||
+            (m.aliveCount() <= num_processes && s.merged > s.maxCost))
             break;
+        m.merge(s.p, s.q);
+    }
 
-        if (m.aliveCount() > num_processes) {
-            m.merge(best_p, best_q);
-        } else if (best_merged <= max_cost) {
-            m.merge(best_p, best_q);
-        } else {
+    // Walk the rest of the sequence on a copy, then replay the
+    // winning prefix: the sequence is deterministic.
+    Merger trial = m;
+    size_t best = vcycleCost(m, sync_cost);
+    size_t best_steps = 0;
+    for (size_t steps = 1; trial.aliveCount() > 1; ++steps) {
+        MergeStep s = nextMerge(trial);
+        if (s.q == -1)
             break;
+        trial.merge(s.p, s.q);
+        size_t c = vcycleCost(trial, sync_cost);
+        if (c < best) {
+            best = c;
+            best_steps = steps;
         }
+    }
+    for (size_t i = 0; i < best_steps; ++i) {
+        MergeStep s = nextMerge(m);
+        m.merge(s.p, s.q);
     }
 }
 
@@ -499,7 +551,7 @@ mergeLpt(Merger &m, unsigned num_processes)
 
 NetlistPartition
 partitionNetlist(const Netlist &netlist, unsigned num_processes,
-                 MergeAlgo algo)
+                 MergeAlgo algo, size_t sync_cost)
 {
     MANTICORE_ASSERT(num_processes >= 1, "need at least one process");
     std::vector<Seed> seeds = split(netlist);
@@ -510,7 +562,7 @@ partitionNetlist(const Netlist &netlist, unsigned num_processes,
     size_t split_count = merger.numProcs();
     size_t split_edges = merger.splitEdges();
     if (algo == MergeAlgo::Balanced)
-        mergeBalanced(merger, num_processes);
+        mergeBalanced(merger, num_processes, sync_cost);
     else
         mergeLpt(merger, num_processes);
 

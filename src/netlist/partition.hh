@@ -88,9 +88,20 @@ struct NetlistPartition
 
 /** Split into per-sink cones and merge down to at most num_processes
  *  (>= 1).  Dead nodes feeding no register / memory write / effect
- *  are dropped.  A netlist with no sinks yields zero processes. */
+ *  are dropped.  A netlist with no sinks yields zero processes.
+ *
+ *  sync_cost is the Vcycle's fixed synchronisation cost in the cost
+ *  model's units (weighted nodes + sends), which every partition of
+ *  more than one process pays once per cycle.  Balanced minimises the
+ *  predicted Vcycle cost estimatedMaxCost + (processes > 1 ?
+ *  sync_cost : 0) along its merge sequence, so num_processes is an
+ *  upper bound it may undercut, down to one process; with sync_cost
+ *  0 it stops where the sync-oblivious merge does.  LPT ignores
+ *  sync_cost and always packs min(num_processes, seeds) bins — the
+ *  communication-oblivious baseline at a fixed count. */
 NetlistPartition partitionNetlist(const Netlist &netlist,
-                                  unsigned num_processes, MergeAlgo algo);
+                                  unsigned num_processes, MergeAlgo algo,
+                                  size_t sync_cost = 0);
 
 } // namespace manticore::netlist
 

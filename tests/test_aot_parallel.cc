@@ -74,6 +74,17 @@ parallelAotOptions(const std::string &cache_dir, unsigned threads = 3)
     return options;
 }
 
+/** As above with LPT, which packs exactly `threads` processes: the
+ *  per-partition tests need several objects, and Balanced merges
+ *  small mm (~870 cost units, under the AOT sync constant) into one. */
+EvalOptions
+splitAotOptions(const std::string &cache_dir, unsigned threads = 3)
+{
+    EvalOptions options = parallelAotOptions(cache_dir, threads);
+    options.mergeAlgo = MergeAlgo::Lpt;
+    return options;
+}
+
 /** Step `a` (the trusted engine) and `b` (the subject) in lockstep
  *  over any EvaluatorBase pair, asserting identical architectural
  *  state every cycle (the same check as test_aot.cc's runLockstep). */
@@ -232,16 +243,17 @@ TEST(AotParallelEvaluator, DeterministicAcrossThreadAndPartitionCounts)
 {
     if (!hostHasToolchain())
         GTEST_SKIP() << netlist::aotToolchain().message;
-    // numThreads bounds the partition count, so sweeping it sweeps
-    // both: every configuration must match the serial interpreted
-    // tape cycle-for-cycle on a real design (mm self-checks via
-    // $display and asserts).
+    // Under LPT numThreads is the partition count, so sweeping it
+    // sweeps both: every configuration must match the serial
+    // interpreted tape cycle-for-cycle on a real design (mm
+    // self-checks via $display and asserts).
     std::string cache = freshCacheDir("threads");
     Netlist nl = designs::buildMm(64);
     for (unsigned threads : {1u, 2u, 4u}) {
         SCOPED_TRACE("numThreads " + std::to_string(threads));
         CompiledEvaluator tape(nl);
-        AotParallelEvaluator aot(nl, parallelAotOptions(cache, threads));
+        AotParallelEvaluator aot(nl, splitAotOptions(cache, threads));
+        ASSERT_EQ(aot.numProcesses(), threads);
         ASSERT_TRUE(aot.usingAot()) << "fell back to the interpreter";
         EXPECT_EQ(aot.aotPartitions(), aot.numProcesses());
         runLockstep(nl, tape, aot, {}, threads, 80);
@@ -254,9 +266,10 @@ TEST(AotParallelEvaluator, SecondConstructionHitsEveryPartitionObject)
         GTEST_SKIP() << netlist::aotToolchain().message;
     std::string cache = freshCacheDir("hit");
     Netlist nl = designs::buildMm(64);
-    EvalOptions options = parallelAotOptions(cache);
+    EvalOptions options = splitAotOptions(cache);
 
     AotParallelEvaluator cold(nl, options);
+    ASSERT_EQ(cold.numProcesses(), 3u);
     ASSERT_TRUE(cold.usingAot());
     EXPECT_FALSE(cold.cacheHit());
     // mm64's partition tapes fit in one 1024-statement chunk each, so
@@ -283,7 +296,7 @@ TEST(AotParallelEvaluator, CorruptedPartitionObjectRebuildsOnlyItself)
         GTEST_SKIP() << netlist::aotToolchain().message;
     std::string cache = freshCacheDir("corrupt");
     Netlist nl = designs::buildMm(64);
-    EvalOptions options = parallelAotOptions(cache);
+    EvalOptions options = splitAotOptions(cache);
 
     std::string victim;
     size_t parts = 0;
@@ -296,8 +309,7 @@ TEST(AotParallelEvaluator, CorruptedPartitionObjectRebuildsOnlyItself)
     // Per-partition keys hash the partition's own source, so garbage
     // in ONE object must trigger exactly ONE recompile — the embedded
     // manticore_aot_key check rejects it after dlopen.
-    ASSERT_GE(parts, 2u) << "mm no longer partitions; pick a bigger "
-                            "design for this test";
+    ASSERT_EQ(parts, 3u);
     {
         std::FILE *f = std::fopen(victim.c_str(), "wb");
         ASSERT_NE(f, nullptr);

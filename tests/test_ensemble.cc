@@ -62,13 +62,27 @@ assertAtInputDesign()
     return b.build();
 }
 
+/** netlist.parallel runs LPT's three processes (Balanced would merge
+ *  these small designs into one), so a lane that freezes mid-batch is
+ *  mirrored across banks that several processes write. */
 engine::CreateOptions
 ensembleOptions(unsigned lanes)
 {
     engine::CreateOptions options;
     options.lanes = lanes;
     options.eval.numThreads = 3;
+    options.eval.mergeAlgo = MergeAlgo::Lpt;
     return options;
+}
+
+/** A parallel subject must really be split (the serial engines carry
+ *  no "processes" stat). */
+void
+expectSplit(const engine::Engine &e)
+{
+    for (const engine::Stat &s : e.stats())
+        if (s.name == "processes")
+            EXPECT_GE(s.value, 2u) << e.name() << " runs one process";
 }
 
 /** Deterministic per-(seed, lane, cycle) stimulus stream, identical
@@ -116,6 +130,7 @@ runRandomDifferential(const std::string &subject_name, unsigned lanes,
     auto subject = engine::create(subject_name, nl, sopts);
     EXPECT_EQ(subject->lanes(), lanes);
     EXPECT_EQ(subject->has(engine::cap::kEnsemble), lanes > 1);
+    expectSplit(*subject);
 
     LaneGoldens goldens = makeGoldens(nl, lanes);
 
@@ -183,6 +198,7 @@ TEST(Ensemble, DivergentFinishCyclesFreezeOnlyTheirLane)
     for (const std::string &name : kEnsembleEngines) {
         const unsigned lanes = 4;
         auto subject = engine::create(name, nl, ensembleOptions(lanes));
+        expectSplit(*subject);
         engine::InputHandle x = subject->bindInput("x");
         for (unsigned l = 0; l < lanes; ++l)
             subject->setInputLane(x, l, BitVector(16, 5 * (l + 1)));
@@ -220,6 +236,7 @@ TEST(Ensemble, FinishOnlyDesignsTakeTheFusedPathCorrectly)
     for (const std::string &name : kEnsembleEngines) {
         const unsigned lanes = 4;
         auto subject = engine::create(name, nl, ensembleOptions(lanes));
+        expectSplit(*subject);
         auto golden = engine::create("netlist.reference", nl);
         engine::InputHandle sx = subject->bindInput("x");
         engine::InputHandle gx = golden->bindInput("x");
@@ -247,6 +264,7 @@ TEST(Ensemble, DivergentAssertsFreezeOnlyTheirLane)
     for (const std::string &name : kEnsembleEngines) {
         const unsigned lanes = 3;
         auto subject = engine::create(name, nl, ensembleOptions(lanes));
+        expectSplit(*subject);
         // A golden scalar run of lane 1's waveform pins the failure
         // message text (including the cycle number).
         auto golden = engine::create("netlist.reference", nl);
@@ -282,6 +300,7 @@ TEST(Ensemble, BatchedStepMatchesStep1Loop)
         const unsigned lanes = 5;
         auto stepped = engine::create(name, nl, ensembleOptions(lanes));
         auto batched = engine::create(name, nl, ensembleOptions(lanes));
+        expectSplit(*batched);
         for (auto *e : {stepped.get(), batched.get()}) {
             engine::InputHandle x = e->bindInput("x");
             for (unsigned l = 0; l < lanes; ++l)
@@ -327,6 +346,7 @@ TEST(Ensemble, StatsAggregateAndRunResultLanes)
     netlist::Netlist nl = finishAtInputDesign();
     auto subject =
         engine::create("netlist.parallel", nl, ensembleOptions(3));
+    expectSplit(*subject);
     engine::InputHandle x = subject->bindInput("x");
     for (unsigned l = 0; l < 3; ++l)
         subject->setInputLane(x, l, BitVector(16, 10 * (l + 1)));
@@ -448,7 +468,9 @@ TEST(Arena, StorageStartsOnACacheLine)
 
     netlist::EvalOptions options;
     options.numThreads = 3;
+    options.mergeAlgo = MergeAlgo::Lpt;
     netlist::ParallelCompiledEvaluator par(finishAtInputDesign(), options);
+    ASSERT_EQ(par.numProcesses(), 3u);
     par.setInput("x", BitVector(16, 40));
     for (uint64_t n : {0u, 1u, 2u}) { // both bank hand-offs
         par.run(n);

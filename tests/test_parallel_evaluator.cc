@@ -10,18 +10,21 @@
  *    failure message.  Run it under TSan via
  *    `cmake -DMANTICORE_SANITIZE=thread` + `ctest -L parallel`.
  *  - Batch boundaries: run(n) over batch lengths of both parities,
- *    at several thread counts, both wait policies and 1 or 3 lanes,
- *    against per-lane references — the one-barrier Vcycle leaves the
- *    state in either arena bank and memory writes pending when a
- *    batch ends, and this pins the hand-off.
+ *    at several LPT partition counts, both wait policies and 1 or 3
+ *    lanes, against per-lane references — the one-barrier Vcycle
+ *    leaves the state in either arena bank and memory writes pending
+ *    when a batch ends, and this pins the hand-off.
  *  - Determinism: identical waveform samples across repeated runs,
  *    thread counts, and merge algorithms.
  *  - Partition invariants: unique register/memory-write/effect
  *    ownership, reads of a written memory kept with its writes,
- *    operand-closed cones, process-count bound.
+ *    operand-closed cones, process-count bound — with and without
+ *    the sync-aware stopping rule.
  *  - The serial engine's commit-ordering corner cases, replayed on
  *    the parallel engine (sends read the current bank and write the
- *    next one; memory-write operands are staged).
+ *    next one; memory-write operands are staged).  These designs are
+ *    two cones, which Balanced merges into one process, so they use
+ *    LPT and assert the two processes they claim to cross.
  */
 
 #include <gtest/gtest.h>
@@ -227,9 +230,11 @@ TEST(ParallelEvaluator, BatchesOfEveryLengthMatchReference)
         for (unsigned lanes : {1u, 3u}) {
             EvalOptions options;
             options.numThreads = threads;
+            options.mergeAlgo = MergeAlgo::Lpt; // a real split
             options.waitPolicy = policy;
             options.lanes = lanes;
             ParallelCompiledEvaluator par(nl, options);
+            ASSERT_GE(par.numProcesses(), 2u);
             std::vector<std::unique_ptr<Evaluator>> refs;
             for (unsigned l = 0; l < lanes; ++l)
                 refs.push_back(std::make_unique<Evaluator>(nl));
@@ -305,9 +310,13 @@ TEST(ParallelEvaluator, PartitionInvariants)
     for (uint64_t seed = 1; seed <= 6; ++seed)
         netlists.push_back(RandomCircuit(seed * 0x51ed27ull).build());
     for (const Netlist &nl : netlists)
-    for (MergeAlgo algo : {MergeAlgo::Balanced, MergeAlgo::Lpt}) {
-        SCOPED_TRACE(nl.name() + " " + mergeAlgoName(algo));
-        NetlistPartition part = netlist::partitionNetlist(nl, 4, algo);
+    for (MergeAlgo algo : {MergeAlgo::Balanced, MergeAlgo::Lpt})
+    for (size_t sync : {size_t{0},
+                        ParallelCompiledEvaluator::kTapeSyncCost}) {
+        SCOPED_TRACE(nl.name() + " " + mergeAlgoName(algo) + " sync " +
+                     std::to_string(sync));
+        NetlistPartition part =
+            netlist::partitionNetlist(nl, 4, algo, sync);
         ASSERT_LE(part.processes.size(), 4u);
         ASSERT_EQ(part.stats.mergedProcesses, part.processes.size());
 
@@ -370,7 +379,8 @@ TEST(ParallelEvaluator, PartitionInvariants)
 
 TEST(ParallelEvaluator, RegisterSwapUsesPreCommitValues)
 {
-    // a.next = b, b.next = a, owned by different processes: each send
+    // a.next = b, b.next = a, owned by different processes (LPT: a
+    // Balanced merge would fold both cones into one): each send
     // reads the other register from the current bank, which nobody
     // writes during the Vcycle, and writes the next bank — so both
     // see pre-commit values with no stage copy.
@@ -379,7 +389,8 @@ TEST(ParallelEvaluator, RegisterSwapUsesPreCommitValues)
     auto rb = b.reg("b", 64, 2);
     b.next(ra, rb.read());
     b.next(rb, ra.read());
-    ParallelCompiledEvaluator par(b.build(), {2, MergeAlgo::Balanced});
+    ParallelCompiledEvaluator par(b.build(), {2, MergeAlgo::Lpt});
+    ASSERT_EQ(par.numProcesses(), 2u);
     par.step();
     EXPECT_EQ(par.regValue("a").toUint64(), 2u);
     EXPECT_EQ(par.regValue("b").toUint64(), 1u);
@@ -395,7 +406,10 @@ TEST(ParallelEvaluator, MemWriteSeesPreCommitRegisterData)
     b.next(counter, counter.read() + b.lit(8, 1));
     auto mem = b.memory("m", 8, 16);
     mem.write(b.lit(8, 3), counter.read(), b.lit(1, 1));
-    ParallelCompiledEvaluator par(b.build(), {2, MergeAlgo::Balanced});
+    // The counter and the memory write in different processes, so the
+    // write's RegRead operand is staged across the barrier.
+    ParallelCompiledEvaluator par(b.build(), {2, MergeAlgo::Lpt});
+    ASSERT_EQ(par.numProcesses(), 2u);
     par.step();
     EXPECT_EQ(par.memValue(0, 3).toUint64(), 5u);
     EXPECT_EQ(par.regValue("counter").toUint64(), 6u);
@@ -412,7 +426,10 @@ TEST(ParallelEvaluator, AssertFailureSkipsCommitLikeReference)
         return b.build();
     };
     Evaluator ref(build());
-    ParallelCompiledEvaluator par(build(), {2, MergeAlgo::Balanced});
+    // The counter and the assert in different processes: the worker
+    // must not commit the failing cycle the master rejects.
+    ParallelCompiledEvaluator par(build(), {2, MergeAlgo::Lpt});
+    ASSERT_EQ(par.numProcesses(), 2u);
     EXPECT_EQ(ref.run(100), SimStatus::AssertFailed);
     EXPECT_EQ(par.run(100), SimStatus::AssertFailed);
     EXPECT_EQ(ref.cycle(), par.cycle());
@@ -422,14 +439,15 @@ TEST(ParallelEvaluator, AssertFailureSkipsCommitLikeReference)
 
 TEST(ParallelEvaluator, ThrowingDisplayCallbackDoesNotStrandWorkers)
 {
-    // An exception escaping step() between the two barriers must
-    // still complete the commit rendezvous, or the workers stay
-    // parked and the next step()/destructor deadlocks.
+    // An exception escaping the master's effects must still complete
+    // the Vcycle's barrier, or the worker stays parked at it and the
+    // next step()/destructor deadlocks.
     netlist::CircuitBuilder b("thrower");
     auto c = b.reg("c", 16);
     b.next(c, c.read() + b.lit(16, 1));
     b.display(b.lit(1, 1), "c=%d", {c.read()});
-    ParallelCompiledEvaluator par(b.build(), {3, MergeAlgo::Balanced});
+    ParallelCompiledEvaluator par(b.build(), {3, MergeAlgo::Lpt});
+    ASSERT_EQ(par.numProcesses(), 2u); // the counter has a worker
 
     par.onDisplay = [](const std::string &) {
         throw std::runtime_error("sink failed");

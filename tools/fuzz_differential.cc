@@ -16,6 +16,12 @@
  * the whole session deterministic, --dir picks the artifact
  * directory ($MANTICORE_REPLAY_DIR, else ./replay-artifacts).
  * --aot 1 adds netlist.aot and netlist.parallel.aot as subjects.
+ *
+ * The partition-parallel subjects run with default options on even
+ * circuit seeds — Balanced's sync-aware merge, which puts most small
+ * random circuits in one process — and with LPT at three threads on
+ * odd ones, so the multi-process protocol stays fuzzed.  The closing
+ * summary counts those subjects' pairs by the processes they ran.
  */
 
 #include <chrono>
@@ -24,6 +30,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -134,6 +141,7 @@ main(int argc, char **argv)
     const auto deadline = std::chrono::steady_clock::now() +
                           std::chrono::seconds(seconds);
     uint64_t circuits = 0, pairs = 0;
+    std::map<uint64_t, uint64_t> pairs_by_processes;
     for (uint64_t iter = 0;
          std::chrono::steady_clock::now() < deadline; ++iter) {
         const uint64_t seed = seed0 + iter;
@@ -152,10 +160,27 @@ main(int argc, char **argv)
             }
         }
 
+        engine::CreateOptions split;
+        split.eval.mergeAlgo = MergeAlgo::Lpt;
+        split.eval.numThreads = 3;
+        const bool force_split = seed % 2 != 0;
+
         for (const std::string &subject_name : subjects) {
+            const bool partitioned =
+                subject_name.find("parallel") != std::string::npos;
             auto golden = engine::create("netlist.reference", nl);
-            auto subject = engine::create(subject_name, nl);
+            auto subject =
+                engine::create(subject_name, nl,
+                               partitioned && force_split
+                                   ? split
+                                   : engine::CreateOptions{});
             ++pairs;
+            uint64_t processes = 0;
+            for (const engine::Stat &s : subject->stats())
+                if (s.name == "processes")
+                    processes = s.value;
+            if (partitioned)
+                ++pairs_by_processes[processes];
 
             runtime::ReplayRecorder recorder;
             recorder.trace.designKind = "random";
@@ -164,6 +189,10 @@ main(int argc, char **argv)
             recorder.signals = runtime::probeSignals(nl);
             recorder.dir = dir;
             recorder.stem = "fuzz";
+            if (partitioned && force_split)
+                recorder.trace.notes.push_back(
+                    "subject ran LPT at 3 threads (" +
+                    std::to_string(processes) + " processes)");
 
             engine::CrossCheck cc(*golden, *subject);
             cc.setRecorder(&recorder);
@@ -217,5 +246,10 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(pairs),
                 static_cast<unsigned long long>(seed0),
                 static_cast<unsigned long long>(seconds));
+    std::printf("fuzz: partition-parallel pairs by processes:");
+    for (const auto &[processes, n] : pairs_by_processes)
+        std::printf(" %llu at %llu", static_cast<unsigned long long>(n),
+                    static_cast<unsigned long long>(processes));
+    std::printf("\n");
     return 0;
 }
