@@ -5,14 +5,15 @@
  * time on a cold cache, startup time on a warm cache (must invoke
  * the compiler zero times), and the steady-state cycles/sec of the
  * dispatch-free cycle function against netlist.compiled.  Rows are
- * appended to BENCH_aot.json.
+ * written to BENCH_aot.json with the host stamp.
  *
- * A second section measures cold-start concurrency: the big tapes
- * emit as ≤1024-statement chunk translation units that compile
- * through concurrent compiler processes (EvalOptions::aotJobs), so a
- * cold build with aotJobs=4 should beat aotJobs=1 on mm/rv32r
- * wherever the host has the cores (on a 1-thread host the two
- * columns document the overhead-free degeneration instead).
+ * A second section measures cold-start concurrency: a tape longer
+ * than netlist::kAotChunk statements emits as evenly sized chunk
+ * translation units that compile through concurrent compiler
+ * processes (EvalOptions::aotJobs), so a cold build with aotJobs=4
+ * should beat aotJobs=1 on mm/rv32r/cgra wherever the host has the
+ * cores (on a 1-thread host the two columns document the
+ * overhead-free degeneration instead).
  *
  * Flags: --cache-dir <dir> selects the object-cache directory
  * (default: the evaluator's own resolution, see netlist/aot.hh);
@@ -81,8 +82,9 @@ main(int argc, char **argv)
 
     FILE *json = std::fopen("BENCH_aot.json", "w");
     if (json)
-        std::fprintf(json, "{\n  \"experiment\": \"aot\",\n"
-                           "  \"rows\": [\n");
+        std::fprintf(json, "{\n  \"experiment\": \"aot\",\n%s"
+                           "  \"rows\": [\n",
+                     bench::hostStampJson().c_str());
 
     std::vector<double> speedups;
     bool first = true;
@@ -148,7 +150,7 @@ main(int argc, char **argv)
                 "serial s", "parallel s", "speedup");
     first = true;
     for (const designs::Benchmark &bm : designs::allBenchmarksLarge()) {
-        if (bm.name != "mm" && bm.name != "rv32r")
+        if (bm.name != "mm" && bm.name != "rv32r" && bm.name != "cgra")
             continue;
         netlist::Netlist nl = bm.build(bench::measureHorizon(bm.name));
         double secs[2] = {0.0, 0.0};

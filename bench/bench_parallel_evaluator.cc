@@ -173,21 +173,6 @@ median(std::vector<double> xs)
     return n % 2 ? xs[n / 2] : 0.5 * (xs[n / 2 - 1] + xs[n / 2]);
 }
 
-std::string
-gitDescribe()
-{
-    std::string out;
-    if (FILE *p = popen("git describe --always --dirty 2>/dev/null", "r")) {
-        char buf[128];
-        while (std::fgets(buf, sizeof buf, p))
-            out += buf;
-        pclose(p);
-    }
-    while (!out.empty() && (out.back() == '\n' || out.back() == '\r'))
-        out.pop_back();
-    return out.empty() ? "unknown" : out;
-}
-
 /** One design on one executor. */
 struct DesignRun
 {
@@ -225,11 +210,8 @@ main(int argc, char **argv)
     if (json)
         std::fprintf(json,
                      "{\n  \"experiment\": \"parallel_evaluator\",\n"
-                     "  \"host\": \"%s\",\n  \"hardware_threads\": %u,\n"
-                     "  \"commit\": \"%s\",\n  \"rows\": [\n",
-                     netlist::aotHostCpuModel().c_str(),
-                     std::thread::hardware_concurrency(),
-                     gitDescribe().c_str());
+                     "%s  \"rows\": [\n",
+                     bench::hostStampJson().c_str());
     bool first_row = true;
     std::string calibration_json, choice_json;
 

@@ -22,6 +22,7 @@
 
 #include "designs/designs.hh"
 #include "engine/registry.hh"
+#include "netlist/aot.hh"
 #include "support/logging.hh"
 #include "support/namelist.hh"
 
@@ -125,6 +126,34 @@ printEnvironment(const char *experiment)
                 "EPYC 7V73X 120c)\n",
                 std::thread::hardware_concurrency());
     std::printf("=============================================================\n");
+}
+
+/** `git describe --always --dirty` of the working directory, or
+ *  "unknown" outside a checkout. */
+inline std::string
+gitDescribe()
+{
+    std::string out;
+    if (FILE *p = popen("git describe --always --dirty 2>/dev/null", "r")) {
+        char buf[128];
+        while (std::fgets(buf, sizeof buf, p))
+            out += buf;
+        pclose(p);
+    }
+    while (!out.empty() && (out.back() == '\n' || out.back() == '\r'))
+        out.pop_back();
+    return out.empty() ? "unknown" : out;
+}
+
+/** The host stamp a BENCH_*.json carries right after "experiment":
+ *  host CPU model, hardware threads and commit, as JSON members. */
+inline std::string
+hostStampJson()
+{
+    return "  \"host\": \"" + netlist::aotHostCpuModel() +
+           "\",\n  \"hardware_threads\": " +
+           std::to_string(std::thread::hardware_concurrency()) +
+           ",\n  \"commit\": \"" + gitDescribe() + "\",\n";
 }
 
 /** Measure a stepped simulation's rate in kHz.  step(chunk) must

@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <map>
 #include <mutex>
 #include <sstream>
@@ -153,7 +154,8 @@ firstLine(const std::string &text, size_t cap = 200)
 
 /** Compile-and-dlopen probe of one candidate compiler: emitted code
  *  must build (including support/limbops.hh) into a shared object we
- *  can load and call. */
+ *  can load and call.  The SIMD-flag probe compiles concurrently, so
+ *  the whole probe costs one compiler latency. */
 AotToolchain
 probeOne(const std::string &cxx)
 {
@@ -172,7 +174,9 @@ probeOne(const std::string &cxx)
                    std::to_string(static_cast<long>(getpid()))))
             .string();
     std::string src = stem + ".cc";
+    // Each concurrent run writes its own output.
     std::string obj = stem + ".so";
+    std::string simd_obj = stem + ".simd.so";
 
     // The probe uses the same kernels the emitted code will: a
     // missing header or an exotic compiler shows up here, not at
@@ -190,26 +194,34 @@ probeOne(const std::string &cxx)
         return tc;
     }
 
-    std::vector<std::string> argv{cxx};
-    for (const std::string &f : probeFlags())
-        argv.push_back(f);
-    argv.push_back("-I");
-    argv.push_back(inc);
-    argv.push_back(src);
-    argv.push_back("-o");
-    argv.push_back(obj);
-    CommandResult res = runCommand(argv);
+    auto compile = [&](const std::vector<std::string> &flags,
+                       const std::string &out) {
+        std::vector<std::string> argv{cxx};
+        argv.insert(argv.end(), flags.begin(), flags.end());
+        argv.insert(argv.end(), {"-I", inc, src, "-o", out});
+        return runCommand(argv);
+    };
+    auto simdArgs = [](std::vector<std::string> simd) {
+        simd.insert(simd.begin(), {"-std=c++17", "-O3", "-fPIC", "-shared"});
+        return simd;
+    };
+
+    // Which SIMD flags does this compiler accept?  Laned objects
+    // compile -O3 + the survivors; a cross or exotic compiler that
+    // rejects -march=native just loses the flag, not the engine.  All
+    // candidates at once first, beside the scalar probe.
+    const std::vector<std::string> candidates = {
+        "-march=native", "-mprefer-vector-width=256"};
+    // The future joins its thread on every path out of this scope.
+    std::future<CommandResult> simd_probe = std::async(
+        std::launch::async,
+        [&] { return compile(simdArgs(candidates), simd_obj); });
+    CommandResult res = compile(probeFlags(), obj);
+    const bool simd_all = simd_probe.get().ok();
 
     if (!res.ok()) {
         tc.message = cxx + " (" + firstLine(res.output) + ")";
-        fs::remove(src, ec);
-        return tc;
-    }
-
-    void *handle = dlopen(obj.c_str(), RTLD_NOW | RTLD_LOCAL);
-    if (!handle) {
-        tc.message = cxx + " (dlopen: " + firstLine(dlerror()) + ")";
-    } else {
+    } else if (void *handle = dlopen(obj.c_str(), RTLD_NOW | RTLD_LOCAL)) {
         auto *fn = reinterpret_cast<unsigned (*)()>(
             dlsym(handle, "manticore_aot_probe"));
         if (!fn || fn() != 3)
@@ -217,33 +229,26 @@ probeOne(const std::string &cxx)
         else
             tc.ok = true;
         dlclose(handle);
+    } else {
+        tc.message = cxx + " (dlopen: " + firstLine(dlerror()) + ")";
     }
 
-    // Which SIMD flags does this compiler accept?  Laned objects
-    // compile -O3 + the survivors; a cross or exotic compiler that
-    // rejects -march=native just loses the flag, not the engine.
-    if (tc.ok) {
-        for (const char *cand :
-             {"-march=native", "-mprefer-vector-width=256"}) {
-            std::vector<std::string> sargv{cxx, "-std=c++17", "-O3",
-                                           "-fPIC", "-shared"};
-            for (const std::string &f : tc.simdFlags)
-                sargv.push_back(f);
-            sargv.push_back(cand);
-            sargv.push_back("-I");
-            sargv.push_back(inc);
-            sargv.push_back(src);
-            sargv.push_back("-o");
-            sargv.push_back(obj);
-            if (runCommand(sargv).ok())
+    // A rejected combination falls back to one candidate at a time on
+    // top of the accepted ones, so every host gets the same subset.
+    if (tc.ok && simd_all) {
+        tc.simdFlags = candidates;
+    } else if (tc.ok) {
+        for (const std::string &cand : candidates) {
+            std::vector<std::string> flags = tc.simdFlags;
+            flags.push_back(cand);
+            if (compile(simdArgs(flags), simd_obj).ok())
                 tc.simdFlags.push_back(cand);
         }
     }
-    fs::remove(src, ec);
-    fs::remove(obj, ec);
+    for (const std::string &f : {src, obj, simd_obj})
+        fs::remove(f, ec);
     return tc;
 }
-
 
 // ---------------------------------------------------------------------------
 // Codegen: tape.cc runImpl<L> shapes with the padded lane count L baked
@@ -529,19 +534,6 @@ emitInstr(std::ostream &os, const tape::Instr &in,
 // Translation units: single combined, per-chunk, and the chunk driver
 // ---------------------------------------------------------------------------
 
-/** One static function per ~1k statements bounds the host compiler's
- *  per-function work (large designs lower to tapes of tens of
- *  thousands of ops; one giant function makes -O2 register
- *  allocation superlinear) and is also the cold-start concurrency
- *  grain: each chunk can compile as its own translation unit. */
-constexpr size_t kChunk = 1024;
-
-size_t
-chunkCountOf(size_t tape_len)
-{
-    return (tape_len + kChunk - 1) / kChunk;
-}
-
 /** What to emit: a tape slice, its memory geometry, the compile-time
  *  lane count and the exported entry-point name. */
 struct EmitSpec
@@ -568,22 +560,31 @@ emitHeader()
            "\n";
 }
 
-/** The whole tape as one translation unit (chunked into static
- *  functions).  Also the canonical source the cache key hashes,
- *  whether or not the build is split into chunk TUs. */
+/** The statements of chunk `c` (see aotChunkBegin). */
+void
+emitChunkBody(std::ostream &os, const EmitSpec &spec, size_t c)
+{
+    const size_t end = aotChunkBegin(spec.count, c + 1);
+    for (size_t i = aotChunkBegin(spec.count, c); i < end; ++i)
+        emitInstr(os, spec.instrs[i], *spec.mems, spec.lanes);
+}
+
+/** The whole tape as one translation unit (one static function per
+ *  chunk, so the host compiler's per-function work stays bounded).
+ *  Also the canonical source the cache key hashes, whether or not
+ *  the build is split into chunk TUs: it encodes the chunk
+ *  boundaries, so a change of the chunking rule moves every key. */
 std::string
 emitUnit(const EmitSpec &spec)
 {
     std::ostringstream os;
     os << emitHeader();
-    size_t chunks = chunkCountOf(spec.count);
+    const size_t chunks = aotChunkCount(spec.count);
     for (size_t c = 0; c < chunks; ++c) {
         os << "static void cycle_chunk" << c
            << "(u64 *A, const u64 *const *M)\n{\n"
               "    (void)A; (void)M;\n";
-        size_t end = std::min(spec.count, (c + 1) * kChunk);
-        for (size_t i = c * kChunk; i < end; ++i)
-            emitInstr(os, spec.instrs[i], *spec.mems, spec.lanes);
+        emitChunkBody(os, spec, c);
         os << "}\n\n";
     }
     os << "extern \"C\" void " << spec.entry
@@ -606,9 +607,7 @@ emitChunkTU(const EmitSpec &spec, size_t c)
     os << "extern \"C\" void " << spec.entry << "_chunk" << c
        << "(u64 *A, const u64 *const *M)\n{\n"
           "    (void)A; (void)M;\n";
-    size_t end = std::min(spec.count, (c + 1) * kChunk);
-    for (size_t i = c * kChunk; i < end; ++i)
-        emitInstr(os, spec.instrs[i], *spec.mems, spec.lanes);
+    emitChunkBody(os, spec, c);
     os << "}\n";
     return os.str();
 }
@@ -810,7 +809,7 @@ buildObjects(const char *engine, const std::vector<EmitSpec> &specs,
             "\nextern \"C\" const char manticore_aot_key[] = \"" +
             object.key + "\";\n";
         Cold c{i, path, path + tmpSuffix(), {}, {}};
-        const size_t chunks = chunkCountOf(spec.count);
+        const size_t chunks = aotChunkCount(spec.count);
         if (chunks <= 1) {
             compiles.push_back(
                 {cold.size(), stem + ".cc", source + key_line,

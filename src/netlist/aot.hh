@@ -54,14 +54,14 @@
  * **One builder.**  Both engines build their objects through the
  * same path: emit an object's canonical unit, hash it into a key,
  * load a cached object whose embedded key matches, else cold-build
- * it.  A tape of at most 1024 statements builds in one compiler
- * invocation; a longer tape — the single engine's or one partition's
- * — is emitted as one translation unit per ≤1024-statement chunk
- * plus a driver that the link step compiles.  All cold compiles of
- * all of an engine's objects run through concurrent
- * support/subprocess invocations in one pool bounded by
- * EvalOptions::aotJobs (0 = hardware concurrency), and the links run
- * after them.
+ * it.  The chunking rule (kAotChunk = 256, aotChunkBegin) spreads a
+ * tape evenly over ⌈len/256⌉ chunks.  A tape of one chunk builds in
+ * one compiler invocation; a longer tape — the single engine's or one
+ * partition's — is emitted as one translation unit per chunk plus a
+ * driver that the link step compiles.  All cold compiles of all of an
+ * engine's objects run through concurrent support/subprocess
+ * invocations in one pool bounded by EvalOptions::aotJobs (0 =
+ * hardware concurrency), and the links run after them.
  *
  * **Object cache.**  Compiled objects are cached on disk, keyed by a
  * content hash (FNV-1a 64) of (generated source, limbops.hh content,
@@ -114,7 +114,7 @@ struct AotToolchain
     /// When !ok: every candidate probed and why it failed — the
     /// actionable part of the registry's failure message.
     std::string message;
-    /// Probed SIMD flags (subset of -march=native,
+    /// Probed SIMD flags (the ordered subset of -march=native,
     /// -mprefer-vector-width=256 this compiler accepts) that laned
     /// (lanes > 1) objects are compiled with on top of -O3.
     std::vector<std::string> simdFlags;
@@ -143,9 +143,10 @@ struct AotObject
 };
 
 /** Probe the host toolchain (memoized per override string, so the
- *  compile-and-dlopen probe runs once per process).  Candidates, in
- *  order: `override_compiler` if non-empty, else $MANTICORE_AOT_CXX,
- *  else c++ / g++ / clang++. */
+ *  compile-and-dlopen probe runs once per process; the SIMD-flag
+ *  probe compiles beside it, so a working compiler costs one compiler
+ *  latency).  Candidates, in order: `override_compiler` if non-empty,
+ *  else $MANTICORE_AOT_CXX, else c++ / g++ / clang++. */
 const AotToolchain &aotToolchain(const std::string &override_compiler = "");
 
 /** Resolved object-cache directory for the given options (see file
@@ -156,6 +157,45 @@ std::string aotResolveCacheDir(const EvalOptions &options);
  *  /proc/cpuinfo, else the machine architecture), memoized.
  *  Exposed for tests and cache diagnostics. */
 const std::string &aotHostCpuModel();
+
+/** The AOT compile unit, in statements (one per tape instruction).
+ *  GCC -O2's cost grows faster than linearly with the size of the
+ *  emitted store-per-statement functions, while a translation unit's
+ *  fixed cost (process start plus limbops.hh) is ~35 ms, so small
+ *  chunks compiled concurrently build a large tape fastest: on a
+ *  4-thread host a cold build of mm, rv32r, cgra, mc and jpeg at
+ *  aotJobs=4 took ~2x less time at 256 than at 1024, 192 and 128
+ *  were no faster, and 128 cost cgra a quarter of its AOT rate. */
+constexpr size_t kAotChunk = 256;
+
+/** The chunking rule: a tape of `tape_len` statements spreads evenly
+ *  over ⌈tape_len / kAotChunk⌉ chunks (none for an empty tape), so no
+ *  chunk exceeds kAotChunk and the chunk sizes of one object differ
+ *  by at most one statement. */
+constexpr size_t
+aotChunkCount(size_t tape_len)
+{
+    return (tape_len + kAotChunk - 1) / kAotChunk;
+}
+
+/** First statement of chunk `c` of a `tape_len`-statement tape;
+ *  c == aotChunkCount(tape_len) gives tape_len. */
+constexpr size_t
+aotChunkBegin(size_t tape_len, size_t c)
+{
+    const size_t chunks = aotChunkCount(tape_len);
+    return chunks == 0 ? 0 : c * tape_len / chunks;
+}
+
+/** Compiler invocations of one object's cold build: one for a tape of
+ *  at most one chunk, else one per chunk translation unit plus the
+ *  link. */
+constexpr unsigned
+aotColdCompilerRuns(size_t tape_len)
+{
+    const size_t chunks = aotChunkCount(tape_len);
+    return static_cast<unsigned>(chunks <= 1 ? 1 : chunks + 1);
+}
 
 class AotEvaluator : public CompiledEvaluator
 {
@@ -174,9 +214,9 @@ class AotEvaluator : public CompiledEvaluator
      *  the interpreted-tape fallback path). */
     bool usingAot() const { return _object.fn != nullptr; }
     /** Compiler invocations this construction performed: 0 on a
-     *  cache hit or fallback; a cold build of a tape of at most 1024
-     *  statements runs one invocation, a longer one runs one per
-     *  ≤1024-statement chunk TU plus the link. */
+     *  cache hit or fallback, else aotColdCompilerRuns(tapeLength())
+     *  — one for a tape of at most kAotChunk statements, a longer one
+     *  runs one per chunk TU plus the link. */
     unsigned compilerInvocations() const { return _compilerRuns; }
     /** True when the object was loaded from the on-disk cache
      *  without invoking the compiler. */
@@ -240,9 +280,10 @@ class AotParallelEvaluator : public ParallelCompiledEvaluator
     unsigned aotPartitions() const { return _aotParts; }
     /** Total compiler invocations across all partition objects: 0
      *  when every object came from the cache (or on fallback).  Each
-     *  cold object counts like AotEvaluator's: one invocation for a
-     *  partition tape of at most 1024 statements, else one per chunk
-     *  TU plus the link. */
+     *  cold object counts like AotEvaluator's,
+     *  aotColdCompilerRuns(processTapeLength(p)): one invocation for
+     *  a partition tape of at most kAotChunk statements, else one per
+     *  chunk TU plus the link. */
     unsigned compilerInvocations() const { return _compilerRuns; }
     /** True when every partition object was loaded from the on-disk
      *  cache without invoking the compiler. */

@@ -161,6 +161,8 @@ class ParallelCompiledEvaluator : public EvaluatorBase
     WaitPolicy waitPolicy() const { return _waitPolicy; }
     const NetlistPartitionStats &partitionStats() const { return _stats; }
     size_t tapeLength() const; ///< total instructions across processes
+    /// Instructions in process p's tape.
+    size_t processTapeLength(size_t p) const { return _procs[p].tape.size(); }
     size_t arenaLimbs() const { return _bank[0].limbs(); } ///< per bank
     /** Base of arena bank b (0 = the canonical one between calls). */
     const uint64_t *bankData(unsigned b) const { return _bank[b].data(); }

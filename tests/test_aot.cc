@@ -7,20 +7,23 @@
  * compiler; a corrupted entry is detected, unlinked and rebuilt;
  * concurrent cold builds of one object all load it; a tape longer
  * than one chunk builds as chunk TUs plus a link in both AOT
- * engines), the graceful fallback to the interpreted tape when no
- * toolchain works, and the strict registry path that refuses
- * instead.
+ * engines, with the invocation count the exported chunking rule
+ * predicts), the toolchain probe and its SIMD flags, the graceful
+ * fallback to the interpreted tape when no toolchain works, and the
+ * strict registry path that refuses instead.
  * Labelled "aot" in CMake so both sanitized configs run it.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "designs/designs.hh"
@@ -87,17 +90,82 @@ cachedDesign()
     return b.build();
 }
 
-/** The catalog rv32r (designs::allBenchmarks()): its tape is longer
- *  than one 1024-statement chunk but fits in two, so a cold build
- *  compiles two chunk TUs and links them with the driver. */
+/** The catalog rv32r (designs::allBenchmarks()): its tape spans
+ *  several chunks, so a cold build compiles one TU per chunk and
+ *  links them with the driver. */
 Netlist
-twoChunkDesign()
+chunkedDesign()
 {
     for (const designs::Benchmark &bm : designs::allBenchmarks())
         if (bm.name == "rv32r")
             return bm.build(bm.defaultCheckCycles);
     ADD_FAILURE() << "rv32r is missing from the design catalog";
     return cachedDesign();
+}
+
+/** A closed design whose tape is exactly `statements` long: a chain
+ *  of adds into one register, each add one tape instruction. */
+Netlist
+designOfTapeLength(size_t statements)
+{
+    auto build = [](size_t adds) {
+        netlist::CircuitBuilder b("aot_chunk_edge");
+        auto r = b.reg("r", 32, 1);
+        const netlist::Signal v = r.read();
+        netlist::Signal x = v;
+        for (size_t i = 0; i < adds; ++i)
+            x = x + v;
+        b.next(r, x);
+        return b.build();
+    };
+    const size_t base = CompiledEvaluator(build(0)).tapeLength();
+    Netlist nl = build(statements - base);
+    EXPECT_EQ(CompiledEvaluator(nl).tapeLength(), statements);
+    return nl;
+}
+
+/** Statements per chunk function of an emitted canonical unit: one
+ *  line per statement between a cycle_chunk<c> header's
+ *  "(void)A; (void)M;" line and its closing brace. */
+std::vector<size_t>
+emittedChunkSizes(const std::string &src)
+{
+    std::vector<size_t> sizes;
+    bool in_chunk = false;
+    size_t start = 0;
+    while (start < src.size()) {
+        size_t end = src.find('\n', start);
+        if (end == std::string::npos)
+            end = src.size();
+        const std::string line = src.substr(start, end - start);
+        start = end + 1;
+        if (line.rfind("static void cycle_chunk", 0) == 0) {
+            in_chunk = true;
+            sizes.push_back(0);
+        } else if (in_chunk && line == "}") {
+            in_chunk = false;
+        } else if (in_chunk && line.rfind("    ", 0) == 0 &&
+                   line.find("(void)A") == std::string::npos) {
+            ++sizes.back();
+        }
+    }
+    return sizes;
+}
+
+/** True when `flags` is `candidates` with some entries left out. */
+bool
+isOrderedSubset(const std::vector<std::string> &flags,
+                const std::vector<std::string> &candidates)
+{
+    size_t at = 0;
+    for (const std::string &f : flags) {
+        while (at < candidates.size() && candidates[at] != f)
+            ++at;
+        if (at == candidates.size())
+            return false;
+        ++at;
+    }
+    return true;
 }
 
 /** Step `a` (the trusted interpreted tape) and `b` (the subject) in
@@ -281,7 +349,7 @@ TEST(AotCache, ConcurrentColdBuildsOfOneObjectAllLoad)
     EXPECT_EQ(concurrentFallbacks<AotEvaluator>(nl, options), 0u);
     // Chunked builds of one key share the chunk sources and the
     // driver source, so they must not collide either.
-    EXPECT_EQ(concurrentFallbacks<AotEvaluator>(twoChunkDesign(), options),
+    EXPECT_EQ(concurrentFallbacks<AotEvaluator>(chunkedDesign(), options),
               0u);
 
     EvalOptions par = aotOptions(freshCacheDir("race-parallel"));
@@ -292,9 +360,10 @@ TEST(AotCache, ConcurrentColdBuildsOfOneObjectAllLoad)
               0u);
 }
 
-/** A cold build of the two-chunk design (3 compiler invocations: two
- *  chunk TUs and the driver link), then a warm one (none), each run
- *  in lockstep against the interpreted tape. */
+/** A cold build of a chunked design (one compiler invocation per
+ *  chunk TU plus the driver link, as the chunking rule counts them
+ *  from the tape length), then a warm one (none), each run in
+ *  lockstep against the interpreted tape. */
 template <typename E>
 void
 checkChunkedBuild(const Netlist &nl, const EvalOptions &options)
@@ -304,7 +373,8 @@ checkChunkedBuild(const Netlist &nl, const EvalOptions &options)
         E aot(nl, options);
         ASSERT_TRUE(aot.usingAot()) << "fell back to the interpreter";
         EXPECT_EQ(aot.cacheHit(), warm);
-        EXPECT_EQ(aot.compilerInvocations(), warm ? 0u : 3u);
+        EXPECT_EQ(aot.compilerInvocations(),
+                  warm ? 0u : netlist::aotColdCompilerRuns(aot.tapeLength()));
         CompiledEvaluator tape(nl);
         runLockstep(nl, tape, aot, {}, 17, 40);
     }
@@ -314,11 +384,10 @@ TEST(AotCache, ChunkedColdBuildOfBothVariants)
 {
     if (!hostHasToolchain())
         GTEST_SKIP() << netlist::aotToolchain().message;
-    Netlist nl = twoChunkDesign();
+    Netlist nl = chunkedDesign();
     {
         CompiledEvaluator tape(nl);
-        ASSERT_GT(tape.tapeLength(), 1024u);
-        ASSERT_LE(tape.tapeLength(), 2048u);
+        ASSERT_GE(netlist::aotChunkCount(tape.tapeLength()), 2u);
     }
     {
         SCOPED_TRACE("netlist.aot");
@@ -334,6 +403,122 @@ TEST(AotCache, ChunkedColdBuildOfBothVariants)
     ASSERT_EQ(netlist::ParallelCompiledEvaluator(nl, par).numProcesses(),
               1u);
     checkChunkedBuild<AotParallelEvaluator>(nl, par);
+}
+
+TEST(AotChunking, TapesSpreadEvenlyOverTheFewestChunks)
+{
+    using netlist::aotChunkBegin;
+    using netlist::aotChunkCount;
+    using netlist::kAotChunk;
+    EXPECT_EQ(aotChunkCount(0), 0u);
+    EXPECT_EQ(netlist::aotColdCompilerRuns(kAotChunk), 1u);
+    EXPECT_EQ(netlist::aotColdCompilerRuns(kAotChunk + 1), 3u);
+    for (size_t len = 1; len <= 8 * kAotChunk + 3; ++len) {
+        const size_t chunks = aotChunkCount(len);
+        // The fewest chunks of at most kAotChunk statements.
+        ASSERT_LT((chunks - 1) * kAotChunk, len) << len;
+        ASSERT_LE(len, chunks * kAotChunk) << len;
+        ASSERT_EQ(aotChunkBegin(len, 0), 0u) << len;
+        ASSERT_EQ(aotChunkBegin(len, chunks), len) << len;
+        size_t lo = len, hi = 0;
+        for (size_t c = 0; c < chunks; ++c) {
+            const size_t size =
+                aotChunkBegin(len, c + 1) - aotChunkBegin(len, c);
+            lo = std::min(lo, size);
+            hi = std::max(hi, size);
+        }
+        ASSERT_LE(hi, kAotChunk) << len;
+        ASSERT_LE(hi - lo, 1u) << len;
+    }
+}
+
+TEST(AotChunking, EmittedChunksFollowTheRule)
+{
+    // No compile needed: the canonical unit is emitted on fallback too.
+    for (size_t len : {netlist::kAotChunk, netlist::kAotChunk + 1,
+                       3 * netlist::kAotChunk + 2}) {
+        SCOPED_TRACE("tape length " + std::to_string(len));
+        EvalOptions options = aotOptions(freshCacheDir("emit-chunks"));
+        options.aotCompiler = "/nonexistent/manticore-bogus-c++";
+        AotEvaluator eval(designOfTapeLength(len), options);
+        std::vector<size_t> sizes = emittedChunkSizes(eval.emitSource());
+        ASSERT_EQ(sizes.size(), netlist::aotChunkCount(len));
+        for (size_t c = 0; c < sizes.size(); ++c)
+            EXPECT_EQ(sizes[c], netlist::aotChunkBegin(len, c + 1) -
+                                    netlist::aotChunkBegin(len, c))
+                << "chunk " << c;
+        auto [lo, hi] = std::minmax_element(sizes.begin(), sizes.end());
+        EXPECT_LE(*hi - *lo, 1u);
+    }
+}
+
+TEST(AotCache, OneChunkBuildsInOneInvocationOneMoreStatementInThree)
+{
+    if (!hostHasToolchain())
+        GTEST_SKIP() << netlist::aotToolchain().message;
+    // Exactly one chunk compiles as one TU; one statement more splits
+    // into two chunk TUs of 129 and 128 statements plus the link.
+    const std::pair<size_t, unsigned> cases[] = {
+        {netlist::kAotChunk, 1u}, {netlist::kAotChunk + 1, 3u}};
+    for (auto [len, runs] : cases) {
+        SCOPED_TRACE("tape length " + std::to_string(len));
+        Netlist nl = designOfTapeLength(len);
+        AotEvaluator aot(nl, aotOptions(freshCacheDir("chunk-edge")));
+        ASSERT_TRUE(aot.usingAot()) << "fell back to the interpreter";
+        EXPECT_FALSE(aot.cacheHit());
+        EXPECT_EQ(aot.tapeLength(), len);
+        EXPECT_EQ(aot.compilerInvocations(), runs);
+        CompiledEvaluator tape(nl);
+        runLockstep(nl, tape, aot, {}, 19, 16);
+    }
+}
+
+TEST(AotToolchain, BogusCompilerProbesNotOkWithNoSimdFlags)
+{
+    const netlist::AotToolchain &tc =
+        netlist::aotToolchain("/nonexistent/manticore-bogus-c++");
+    EXPECT_FALSE(tc.ok);
+    EXPECT_TRUE(tc.simdFlags.empty());
+    EXPECT_NE(tc.message.find("manticore-bogus-c++"), std::string::npos)
+        << tc.message;
+}
+
+TEST(AotToolchain, SimdFlagsAreAnOrderedSubsetOfTheCandidates)
+{
+    if (!hostHasToolchain())
+        GTEST_SKIP() << netlist::aotToolchain().message;
+    const std::vector<std::string> candidates = {
+        "-march=native", "-mprefer-vector-width=256"};
+    const netlist::AotToolchain &tc = netlist::aotToolchain();
+    EXPECT_TRUE(isOrderedSubset(tc.simdFlags, candidates));
+
+    // A compiler that rejects -march=native fails the all-candidates
+    // run, so the probe falls back to one candidate at a time and
+    // keeps the rest.
+    const std::string dir = freshCacheDir("no-march");
+    std::filesystem::create_directories(dir);
+    const std::string wrapper = dir + "/c++-no-march";
+    {
+        std::FILE *f = std::fopen(wrapper.c_str(), "w");
+        ASSERT_NE(f, nullptr);
+        std::fprintf(f,
+                     "#!/bin/sh\n"
+                     "for a in \"$@\"; do\n"
+                     "  [ \"$a\" = -march=native ] && exit 1\n"
+                     "done\n"
+                     "exec %s \"$@\"\n",
+                     tc.compiler.c_str());
+        std::fclose(f);
+    }
+    std::filesystem::permissions(wrapper,
+                                 std::filesystem::perms::owner_all);
+    const netlist::AotToolchain &picky = netlist::aotToolchain(wrapper);
+    ASSERT_TRUE(picky.ok) << picky.message;
+    std::vector<std::string> expected;
+    for (const std::string &f : tc.simdFlags)
+        if (f != "-march=native")
+            expected.push_back(f);
+    EXPECT_EQ(picky.simdFlags, expected);
 }
 
 TEST(AotEvaluator, EmittedSourceIsSelfDescribing)

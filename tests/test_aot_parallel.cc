@@ -272,9 +272,13 @@ TEST(AotParallelEvaluator, SecondConstructionHitsEveryPartitionObject)
     ASSERT_EQ(cold.numProcesses(), 3u);
     ASSERT_TRUE(cold.usingAot());
     EXPECT_FALSE(cold.cacheHit());
-    // mm64's partition tapes fit in one 1024-statement chunk each, so
-    // a cold start compiles each partition object in one invocation.
-    EXPECT_EQ(cold.compilerInvocations(), cold.numProcesses());
+    // Each partition object cold-builds as the chunking rule counts
+    // it from its own tape length: one invocation for one chunk, else
+    // one per chunk TU plus the link.
+    unsigned expected = 0;
+    for (size_t p = 0; p < cold.numProcesses(); ++p)
+        expected += netlist::aotColdCompilerRuns(cold.processTapeLength(p));
+    EXPECT_EQ(cold.compilerInvocations(), expected);
 
     AotParallelEvaluator warm(nl, options);
     ASSERT_TRUE(warm.usingAot());
@@ -299,16 +303,18 @@ TEST(AotParallelEvaluator, CorruptedPartitionObjectRebuildsOnlyItself)
     EvalOptions options = splitAotOptions(cache);
 
     std::string victim;
-    size_t parts = 0;
+    size_t parts = 0, victim_length = 0;
     {
         AotParallelEvaluator cold(nl, options);
         ASSERT_TRUE(cold.usingAot());
         parts = cold.numProcesses();
         victim = cold.partitionObject(parts - 1);
+        victim_length = cold.processTapeLength(parts - 1);
     }
     // Per-partition keys hash the partition's own source, so garbage
-    // in ONE object must trigger exactly ONE recompile — the embedded
-    // manticore_aot_key check rejects it after dlopen.
+    // in ONE object must rebuild exactly that object — the embedded
+    // manticore_aot_key check rejects it after dlopen — in the
+    // compiler invocations the chunking rule counts for its tape.
     ASSERT_EQ(parts, 3u);
     {
         std::FILE *f = std::fopen(victim.c_str(), "wb");
@@ -319,7 +325,8 @@ TEST(AotParallelEvaluator, CorruptedPartitionObjectRebuildsOnlyItself)
     AotParallelEvaluator rebuilt(nl, options);
     ASSERT_TRUE(rebuilt.usingAot());
     EXPECT_FALSE(rebuilt.cacheHit());
-    EXPECT_EQ(rebuilt.compilerInvocations(), 1u);
+    EXPECT_EQ(rebuilt.compilerInvocations(),
+              netlist::aotColdCompilerRuns(victim_length));
 
     CompiledEvaluator tape(nl);
     runLockstep(nl, tape, rebuilt, {}, 11, 48);

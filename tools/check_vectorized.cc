@@ -21,12 +21,15 @@
  *    scalar pipes, and the cost model may legitimately prefer them.
  *
  * `--aot` proves the SAME property for the laned AOT codegen path
- * (netlist.aot with lanes > 1): it builds a small mixing design's
- * laned cycle objects at widths 4, 8 and 16 through AotEvaluator —
- * into a private throwaway cache — disassembles each dlopen'd .so,
- * and fails unless the cycle function's body uses vector registers.
- * A laned object regressing to scalar code would otherwise only show
- * up as an ensemble-bench slowdown.
+ * (netlist.aot with lanes > 1): it builds the laned cycle objects of
+ * two mixing designs at widths 4, 8 and 16 through AotEvaluator —
+ * into a private throwaway cache — and disassembles each dlopen'd
+ * .so.  The small design builds as one translation unit and must use
+ * vector registers in its cycle function; the large one spans at
+ * least two chunks (netlist::aotChunkCount), builds as chunk TUs
+ * plus a driver, and must use vector registers in every
+ * `_chunk<k>` function.  A laned object regressing to scalar code
+ * would otherwise only show up as an ensemble-bench slowdown.
  *
  * Exit codes: 0 pass, 1 fail, 77 skip (no objdump/llvm-objdump on
  * PATH, an object format this checker does not know, or --aot
@@ -34,6 +37,7 @@
  * CMake so ctest reports it as a skip, not a pass.
  */
 
+#include <algorithm>
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
@@ -141,20 +145,21 @@ disassemble(const std::string &path, std::string &tool)
     return {};
 }
 
-/** A small design whose tape mixes narrow adds / xors / muxes /
- *  compares — every op lowers to a laned kernel call in the emitted
- *  source, so the laned object has plenty to vectorize. */
+/** A design whose tape mixes narrow adds / xors / muxes / compares
+ *  over a ring of `n` registers (~8 statements each) — every op
+ *  lowers to a laned kernel call in the emitted source, so the laned
+ *  object has plenty to vectorize. */
 manticore::netlist::Netlist
-mixingDesign()
+mixingDesign(unsigned n)
 {
     using namespace manticore;
     netlist::CircuitBuilder b("check_vectorized_aot");
     std::vector<netlist::RegHandle> regs;
-    for (unsigned i = 0; i < 8; ++i)
+    for (unsigned i = 0; i < n; ++i)
         regs.push_back(b.reg("r" + std::to_string(i), 32, i + 1));
-    for (unsigned i = 0; i < 8; ++i) {
+    for (unsigned i = 0; i < n; ++i) {
         netlist::Signal a = regs[i].read();
-        netlist::Signal c = regs[(i + 1) % 8].read();
+        netlist::Signal c = regs[(i + 1) % n].read();
         netlist::Signal mixed =
             (a + c) ^ (a & b.lit(32, 0x9e3779b9ull)) ^ c.lshr(3);
         b.next(regs[i], b.mux(a < c, mixed, mixed + b.lit(32, 1)));
@@ -162,8 +167,132 @@ mixingDesign()
     return b.build();
 }
 
-/** --aot mode: build the laned AOT cycle objects at the given widths
- *  into a throwaway cache and require vector code in each. */
+/** Vector lines per cycle symbol of a disassembled AOT object, keyed
+ *  by symbol name (the .so also carries loader scaffolding, which is
+ *  skipped). */
+std::map<std::string, size_t>
+cycleVectorLines(const std::string &disasm, bool x86)
+{
+    std::map<std::string, size_t> hits;
+    std::string symbol;
+    size_t pos = 0;
+    while (pos < disasm.size()) {
+        size_t eol = disasm.find('\n', pos);
+        if (eol == std::string::npos)
+            eol = disasm.size();
+        std::string line = disasm.substr(pos, eol - pos);
+        pos = eol + 1;
+        size_t open = line.find('<');
+        if (!line.empty() && line.back() == ':' &&
+            open != std::string::npos) {
+            size_t close = line.find('>', open);
+            symbol = line.substr(open + 1, close - open - 1);
+            if (symbol.find("cycle") != std::string::npos)
+                hits.emplace(symbol, 0);
+            else
+                symbol.clear();
+            continue;
+        }
+        if (line.empty()) {
+            symbol.clear();
+            continue;
+        }
+        if (!symbol.empty() &&
+            (x86 ? isVectorLineX86(line) : isVectorLineAArch64(line)))
+            ++hits[symbol];
+    }
+    return hits;
+}
+
+/** Chunk index of a `<entry>_chunk<k>` symbol (any `.cold`-style
+ *  suffix belongs to the same chunk); -1 for other symbols. */
+long
+chunkIndex(const std::string &symbol)
+{
+    size_t at = symbol.find("_chunk");
+    if (at == std::string::npos)
+        return -1;
+    at += 6;
+    if (at >= symbol.size() ||
+        !std::isdigit(static_cast<unsigned char>(symbol[at])))
+        return -1;
+    return std::strtol(symbol.c_str() + at, nullptr, 10);
+}
+
+/** Build the mixing design over `regs` registers at `width` lanes
+ *  into `cache` and check its object, which must span at least two
+ *  chunks when `chunked`: 0 pass, 1 fail, 77 skip. */
+int
+checkAotObject(unsigned regs, bool chunked, unsigned width,
+               const std::string &cache)
+{
+    using namespace manticore;
+    netlist::EvalOptions options;
+    options.lanes = width;
+    options.aotCacheDir = cache;
+    netlist::AotEvaluator eval(mixingDesign(regs), options);
+    const size_t chunks = netlist::aotChunkCount(eval.tapeLength());
+    if (chunked && chunks < 2) {
+        std::fprintf(stderr,
+                     "check_vectorized --aot: the chunked design fits "
+                     "one chunk (%zu statements)\n",
+                     eval.tapeLength());
+        return 1;
+    }
+    if (!eval.usingAot()) {
+        std::fprintf(stderr,
+                     "check_vectorized --aot: width %u object "
+                     "failed to build/load\n",
+                     width);
+        return 1;
+    }
+    std::string tool;
+    std::string disasm = disassemble(eval.objectPath(), tool);
+    if (disasm.empty()) {
+        std::fprintf(stderr,
+                     "check_vectorized --aot: no working "
+                     "objdump/llvm-objdump for %s — skipping\n",
+                     eval.objectPath().c_str());
+        return 77;
+    }
+    bool x86 = disasm.find("x86-64") != std::string::npos ||
+               disasm.find("i386") != std::string::npos;
+    bool arm = disasm.find("aarch64") != std::string::npos ||
+               disasm.find("littleaarch64") != std::string::npos;
+    if (!x86 && !arm) {
+        std::fprintf(stderr,
+                     "check_vectorized --aot: unrecognized object "
+                     "format — skipping\n");
+        return 77;
+    }
+
+    // A one-TU object needs vector lines somewhere in its cycle code;
+    // a chunked one in every chunk TU's function.
+    std::vector<size_t> per_chunk(std::max<size_t>(chunks, 1), 0);
+    for (const auto &[symbol, hits] : cycleVectorLines(disasm, x86)) {
+        long k = chunkIndex(symbol);
+        if (chunks <= 1)
+            per_chunk[0] += hits;
+        else if (k >= 0 && static_cast<size_t>(k) < chunks)
+            per_chunk[k] += hits;
+    }
+    size_t total = 0, scalar = 0;
+    for (size_t hits : per_chunk) {
+        total += hits;
+        scalar += hits == 0;
+    }
+    std::printf("aot width %2u, %3zu statements, %zu TU(s): %5zu vector "
+                "lines, %zu scalar %s (%s)\n",
+                width, eval.tapeLength(), per_chunk.size(), total,
+                scalar, scalar ? "SCALAR (FAIL)" : "vectorized",
+                tool.c_str());
+    return scalar ? 1 : 0;
+}
+
+/** --aot mode: build the laned AOT cycle objects of a one-TU and a
+ *  chunked design at widths 4, 8 and 16 into a throwaway cache and
+ *  require vector code in each — in every chunk function of the
+ *  chunked one. */
 int
 checkAotObjects()
 {
@@ -187,78 +316,22 @@ checkAotObjects()
 
     int rc = 0;
     bool skipped = false;
-    for (unsigned width : {4u, 8u, 16u}) {
-        netlist::EvalOptions options;
-        options.lanes = width;
-        options.aotCacheDir = cache;
-        netlist::AotEvaluator eval(mixingDesign(), options);
-        if (!eval.usingAot()) {
-            std::fprintf(stderr,
-                         "check_vectorized --aot: width %u object "
-                         "failed to build/load\n",
-                         width);
-            rc = 1;
-            continue;
+    // 8 registers build as one TU; 64 (~520 statements) span chunks.
+    for (unsigned regs : {8u, 64u}) {
+        for (unsigned width : {4u, 8u, 16u}) {
+            int one = checkAotObject(regs, regs == 64, width, cache);
+            skipped |= one == 77;
+            if (one == 1)
+                rc = 1;
         }
-        std::string tool;
-        std::string disasm = disassemble(eval.objectPath(), tool);
-        if (disasm.empty()) {
-            std::fprintf(stderr,
-                         "check_vectorized --aot: no working "
-                         "objdump/llvm-objdump for %s — skipping\n",
-                         eval.objectPath().c_str());
-            skipped = true;
-            continue;
-        }
-        bool x86 = disasm.find("x86-64") != std::string::npos ||
-                   disasm.find("i386") != std::string::npos;
-        bool arm = disasm.find("aarch64") != std::string::npos ||
-                   disasm.find("littleaarch64") != std::string::npos;
-        if (!x86 && !arm) {
-            std::fprintf(stderr,
-                         "check_vectorized --aot: unrecognized object "
-                         "format — skipping\n");
-            skipped = true;
-            continue;
-        }
-
-        // Count vector lines inside the cycle symbols only (the .so
-        // also carries loader scaffolding).
-        size_t hits = 0;
-        bool in_cycle = false;
-        size_t pos = 0;
-        while (pos < disasm.size()) {
-            size_t eol = disasm.find('\n', pos);
-            if (eol == std::string::npos)
-                eol = disasm.size();
-            std::string line = disasm.substr(pos, eol - pos);
-            pos = eol + 1;
-            if (!line.empty() && line.back() == ':' &&
-                line.find('<') != std::string::npos) {
-                in_cycle = line.find("cycle") != std::string::npos;
-                continue;
-            }
-            if (line.empty()) {
-                in_cycle = false;
-                continue;
-            }
-            if (in_cycle &&
-                (x86 ? isVectorLineX86(line)
-                     : isVectorLineAArch64(line)))
-                ++hits;
-        }
-        std::printf("aot width %2u: %4zu vector lines %s (%s)\n",
-                    width, hits, hits ? "vectorized" : "SCALAR (FAIL)",
-                    tool.c_str());
-        if (hits == 0)
-            rc = 1;
     }
     fs::remove_all(cache, ec);
     if (rc)
         std::fprintf(stderr,
-                     "check_vectorized --aot: a laned AOT object "
-                     "emitted no vector instructions — the laned "
-                     "codegen or the SIMD flags regressed\n");
+                     "check_vectorized --aot: a laned AOT object (or "
+                     "one of its chunk functions) emitted no vector "
+                     "instructions — the laned codegen or the SIMD "
+                     "flags regressed\n");
     else if (!skipped)
         std::printf("check_vectorized --aot: OK\n");
     return skipped && !rc ? 77 : rc;
