@@ -9,9 +9,12 @@
  * (and counts above 16 to a multiple of 16, executed as unrolled
  * 16-wide groups): the engine allocates and computes `padded` lanes
  * but only the `requested` lanes exist as far as any observer is
- * concerned.  Padded lanes are born frozen — they never fire effects,
+ * concerned.  Padded lanes never fire effects or write memories, and
  * never appear in stats, status, RunResult::lanes, snapshots or
- * replay digests, and their (deterministic, discarded) values cost
+ * replay digests.  In the serial compiled netlist engines
+ * (netlist.compiled, netlist.aot) their registers advance with the
+ * one-copy register block commit; elsewhere they stay at their init
+ * state.  Either way their (deterministic, discarded) values cost
  * nothing beyond the vector slots that would otherwise sit empty.
  */
 

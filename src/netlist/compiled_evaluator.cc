@@ -1,6 +1,7 @@
 #include "netlist/compiled_evaluator.hh"
 
 #include <algorithm>
+#include <cstring>
 
 #include "support/limbops.hh"
 #include "support/logging.hh"
@@ -27,12 +28,41 @@ void
 CompiledEvaluator::compile()
 {
     const auto &nodes = _netlist.nodes();
+    const auto &regs = _netlist.registers();
+    auto isSource = [](const Node &n) {
+        return n.kind == OpKind::Const || n.kind == OpKind::Input ||
+               n.kind == OpKind::RegRead;
+    };
 
-    // Arena layout: every node gets a private lane-strided limb
-    // block (lane l of node i at _slotOf[i] + l * nlimbs(width)).
-    _slotOf.resize(nodes.size());
+    // Arena layout: every node gets a private lane-strided limb block
+    // (lane l of node i at _slotOf[i] + l * nlimbs(width)).  The
+    // register block comes first: each register's current value, in
+    // register order, which its RegRead node reads.  The next block
+    // mirrors it, so register r's next value sits _regSpan limbs after
+    // its current value, and a commit is one copy of the whole block.
+    constexpr uint32_t kNoSlot = ~0u;
+    _slotOf.assign(nodes.size(), kNoSlot);
+    for (const Register &r : regs)
+        _slotOf[r.current] = _arena.alloc(r.width);
+    for (const Register &r : regs)
+        _regSpan = _arena.alloc(r.width) - _slotOf[r.current];
+
+    // A register's next-value node is computed straight into its
+    // next-block slot.  A register whose next value is a source node
+    // (which keeps its own slot) or a node another register already
+    // holds gets a copy appended to the tape instead; the copies run
+    // after every node, so they read this cycle's values and the
+    // pre-commit registers.
+    std::vector<const Register *> copied;
+    for (const Register &r : regs) {
+        if (isSource(nodes[r.next]) || _slotOf[r.next] != kNoSlot)
+            copied.push_back(&r);
+        else
+            _slotOf[r.next] = _slotOf[r.current] + _regSpan;
+    }
     for (size_t i = 0; i < nodes.size(); ++i)
-        _slotOf[i] = _arena.alloc(nodes[i].width);
+        if (_slotOf[i] == kNoSlot)
+            _slotOf[i] = _arena.alloc(nodes[i].width);
     _arena.seal();
 
     // Constants are written once, here, into every lane; register
@@ -43,20 +73,19 @@ CompiledEvaluator::compile()
         if (n.kind == OpKind::Const)
             _arena.broadcast(_slotOf[i], n.value);
     }
-    for (const Register &r : _netlist.registers())
+    for (const Register &r : regs)
         _arena.broadcast(_slotOf[r.current], r.init);
 
     // Memories become dense limb arrays, one image per lane
-    // (including the frozen padded lanes — the tape reads them).
+    // (including the padded lanes — the tape reads them).
     _mems = tape::buildMemStates(_netlist, _padded);
 
     // Lower each combinational node to one tape instruction.  Node ids
     // are already topologically ordered (operands precede users).
-    _tape.reserve(nodes.size());
+    _tape.reserve(nodes.size() + copied.size());
     for (size_t i = 0; i < nodes.size(); ++i) {
         const Node &n = nodes[i];
-        if (n.kind == OpKind::Const || n.kind == OpKind::Input ||
-            n.kind == OpKind::RegRead)
+        if (isSource(n))
             continue; // no tape entry; slot written out-of-band
         uint32_t a = n.operands.size() > 0 ? _slotOf[n.operands[0]] : 0;
         uint32_t b = n.operands.size() > 1 ? _slotOf[n.operands[1]] : 0;
@@ -64,27 +93,12 @@ CompiledEvaluator::compile()
         _tape.push_back(tape::lower(_netlist, static_cast<NodeId>(i),
                                     _slotOf[i], a, b, c, _mems));
     }
+    for (const Register *r : copied)
+        _tape.push_back(tape::copy(_slotOf[r->current] + _regSpan,
+                                   _slotOf[r->next], r->width));
 
-    // Register commits.  The current slot doubles as register storage,
-    // so a commit whose next value is itself a RegRead slot must be
-    // double-buffered through _staging (the reference evaluator reads
-    // all pre-commit values; see stepOnce()).  Staged blocks are
-    // lane-strided like the arena.
-    uint32_t staging_limbs = 0;
-    for (const Register &r : _netlist.registers()) {
-        RegCommit rc;
-        rc.dst = _slotOf[r.current];
-        rc.src = _slotOf[r.next];
-        rc.limbs = lo::nlimbs(r.width);
-        if (_netlist.node(r.next).kind == OpKind::RegRead) {
-            rc.staging = staging_limbs;
-            staging_limbs += rc.limbs * _lanes;
-        } else {
-            rc.staging = kNoStaging;
-        }
-        _regCommits.push_back(rc);
-    }
-    _staging.assign(staging_limbs, 0);
+    for (const Register &r : regs)
+        _regCommits.push_back({_slotOf[r.current], lo::nlimbs(r.width)});
 
     for (const MemWrite &w : _netlist.memWrites()) {
         MemCommit mc;
@@ -101,14 +115,22 @@ CompiledEvaluator::compile()
 }
 
 void
+CompiledEvaluator::commitRegisterBlock()
+{
+    // The tape wrote every next-block slot this cycle, and nothing
+    // reads the register block after this point.
+    uint64_t *A = _arena.data();
+    std::memcpy(A, A + _regSpan, _regSpan * sizeof(uint64_t));
+}
+
+void
 CompiledEvaluator::commitLane(unsigned lane)
 {
     uint64_t *A = _arena.data();
-    // Memory writes read node slots, so they must run before register
-    // commits overwrite the RegRead slots; register commits whose
-    // source is itself a RegRead slot go through _staging.  Both
-    // reproduce the reference semantics of committing against the
-    // pre-commit combinational snapshot.
+    // Memory writes may read RegRead slots, so they run before the
+    // register commits overwrite them; the next values sit in their
+    // own block.  Both reproduce the reference semantics of
+    // committing against the pre-commit combinational snapshot.
     for (const MemCommit &w : _memCommits) {
         if (A[w.enable + lane]) {
             tape::MemState &m = _mems[w.mem];
@@ -120,29 +142,17 @@ CompiledEvaluator::commitLane(unsigned lane)
                      m.wordLimbs);
         }
     }
-    for (const RegCommit &rc : _regCommits)
-        if (rc.staging != kNoStaging)
-            lo::copy(&_staging[rc.staging + lane * rc.limbs],
-                     A + rc.src + static_cast<size_t>(lane) * rc.limbs,
-                     rc.limbs);
     for (const RegCommit &rc : _regCommits) {
-        uint64_t *dst = A + rc.dst + static_cast<size_t>(lane) * rc.limbs;
-        if (rc.staging != kNoStaging)
-            lo::copy(dst, &_staging[rc.staging + lane * rc.limbs],
-                     rc.limbs);
-        else
-            lo::copy(dst,
-                     A + rc.src + static_cast<size_t>(lane) * rc.limbs,
-                     rc.limbs);
+        uint64_t *cur = A + rc.dst + static_cast<size_t>(lane) * rc.limbs;
+        lo::copy(cur, cur + _regSpan, rc.limbs);
     }
 }
 
 void
 CompiledEvaluator::commitAll()
 {
-    // All lanes commit: the staged blocks and register blocks are
-    // lane-strided with the same stride, so each moves as one
-    // limbs * lanes copy; memory writes keep per-lane enables.
+    // All lanes commit: memory writes keep per-lane enables, and the
+    // registers of every lane move in one block copy.
     uint64_t *A = _arena.data();
     const unsigned L = _lanes;
     for (const MemCommit &w : _memCommits) {
@@ -158,15 +168,7 @@ CompiledEvaluator::commitAll()
                      m.wordLimbs);
         }
     }
-    for (const RegCommit &rc : _regCommits)
-        if (rc.staging != kNoStaging)
-            lo::copy(&_staging[rc.staging], A + rc.src, rc.limbs * L);
-    for (const RegCommit &rc : _regCommits) {
-        if (rc.staging != kNoStaging)
-            lo::copy(A + rc.dst, &_staging[rc.staging], rc.limbs * L);
-        else
-            lo::copy(A + rc.dst, A + rc.src, rc.limbs * L);
-    }
+    commitRegisterBlock();
 }
 
 void
@@ -213,7 +215,7 @@ CompiledEvaluator::stepScalar()
     }
 
     // The lane-0 commit with the lane arithmetic folded out (the
-    // same mem-writes / staging / registers order as commitLane).
+    // same mem-writes-then-registers order as commitAll).
     for (const MemCommit &w : _memCommits) {
         if (A[w.enable]) {
             tape::MemState &m = _mems[w.mem];
@@ -222,15 +224,7 @@ CompiledEvaluator::stepScalar()
                      m.wordLimbs);
         }
     }
-    for (const RegCommit &rc : _regCommits)
-        if (rc.staging != kNoStaging)
-            lo::copy(&_staging[rc.staging], A + rc.src, rc.limbs);
-    for (const RegCommit &rc : _regCommits) {
-        if (rc.staging != kNoStaging)
-            lo::copy(A + rc.dst, &_staging[rc.staging], rc.limbs);
-        else
-            lo::copy(A + rc.dst, A + rc.src, rc.limbs);
-    }
+    commitRegisterBlock();
 
     ++lane.cycle;
     ++_cycle;
@@ -297,8 +291,8 @@ CompiledEvaluator::stepOnce()
 
     if (fired.committing == _lanes) {
         // Every lane commits (the common case while no lane has
-        // terminated): registers and staging move as whole
-        // lane-strided blocks instead of per-lane copies.
+        // terminated): the registers move as one block instead of
+        // per-lane copies.
         commitAll();
     } else {
         for (unsigned l = 0; l < _lanes; ++l)

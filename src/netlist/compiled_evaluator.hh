@@ -6,23 +6,31 @@
  * The constructor lowers the netlist once into
  *
  *  - a single contiguous uint64_t ensemble arena (see exec/arena.hh)
- *    holding every node's value as a fixed lane-strided limb block
- *    (Const slots written once and broadcast, Input slots written by
- *    setInput, RegRead slots doubling as the register storage), and
+ *    holding every node's value as a fixed lane-strided limb block.
+ *    It opens with the register block (every register's current
+ *    value, which is also its RegRead slot) and the next block, its
+ *    mirror: register r's next value sits _regSpan limbs after its
+ *    current value.  Const slots are written once and broadcast,
+ *    Input slots by setInput; and
  *  - a flat array of POD instructions (the "tape", see tape.hh), one
  *    per combinational node, dispatched by a switch in a tight loop
- *    that advances every lane per decoded op.
+ *    that advances every lane per decoded op.  A next-value node is
+ *    computed straight into its register's next-block slot; a
+ *    register whose next value is a source node, or a node another
+ *    register already holds, gets one copy appended to the tape.
  *
- * Side effects (asserts / displays / $finish / register commit /
- * memory writes) are precompiled into effect lists with node slots
- * already resolved, so the hot loop never touches a Node, a
- * std::string, or the heap.  With EvalOptions::lanes == N the engine
- * advances N decoupled simulations per step — shared stimulus via
- * the broadcasting setInput, per-lane stimulus via driveInputLane —
- * and every lane carries its own status / cycle count / failure
- * message / display transcript, so one lane finishing or failing an
- * assertion freezes only that lane.  The default single-lane build
- * is bit- and codegen-identical to the pre-ensemble evaluator.
+ * Committing every lane is then the memory writes plus one copy of
+ * the next block over the register block.  Side effects (asserts /
+ * displays / $finish / memory writes) are precompiled into effect
+ * lists with node slots already resolved, so the hot loop never
+ * touches a Node, a std::string, or the heap.  With
+ * EvalOptions::lanes == N the engine advances N decoupled simulations
+ * per step — shared stimulus via the broadcasting setInput, per-lane
+ * stimulus via driveInputLane — and every lane carries its own
+ * status / cycle count / failure message / display transcript, so
+ * one lane finishing or failing an assertion freezes only that lane.
+ * A single-lane engine runs a dedicated scalar step with the lane
+ * arithmetic folded out.
  *
  * See src/netlist/README.md for the layout and the measured speedup
  * over the reference Evaluator.  The partition-parallel variant of
@@ -133,14 +141,13 @@ class CompiledEvaluator : public EvaluatorBase
      *  semantically. */
     virtual void evalCycle();
 
+    /** One register, for the per-lane commit of commitLane(); its
+     *  next value sits at dst + _regSpan. */
     struct RegCommit
     {
-        uint32_t dst;     ///< current (RegRead) slot
-        uint32_t src;     ///< next-value slot
-        uint32_t limbs;   ///< per lane (also the lane stride)
-        uint32_t staging; ///< offset into _staging, or kNoStaging
+        uint32_t dst;   ///< current (RegRead) slot
+        uint32_t limbs; ///< per lane (also the lane stride)
     };
-    static constexpr uint32_t kNoStaging = ~0u;
 
     struct MemCommit
     {
@@ -156,23 +163,31 @@ class CompiledEvaluator : public EvaluatorBase
     void commitAll(); ///< whole-block commits when every lane commits
     void recountActive();
 
+    /** The register half of a whole-ensemble commit: one copy of the
+     *  next block over the register block, every padded lane. */
+    void commitRegisterBlock();
+
     Netlist _netlist; ///< cold copy for name/width lookups only
 
     // _lanes is the requested (API-visible) ensemble width; _padded
     // is the instantiated kernel width it is padded up to (see
     // exec/padding.hh).  The arena, memory images and tape execution
     // use _padded so the vectorised lane loops never run a scalar
-    // tail; effects, commits, stats and snapshots use _lanes, so the
-    // padded lanes are born frozen at their init state and are
-    // invisible to every observer.
+    // tail, and the register block copy advances the padded lanes'
+    // registers with the rest; effects, memory writes, per-lane
+    // commits, stats and snapshots use _lanes, so the padded lanes
+    // are invisible to every observer.
     unsigned _lanes;
     unsigned _padded;
     exec::Arena _arena;
     std::vector<uint32_t> _slotOf; ///< node id -> lane-0 limb offset
+    /// Limbs in the register block, which starts at arena offset 0;
+    /// also the distance from a register's current-value slot to its
+    /// next-value slot in the next block.
+    uint32_t _regSpan = 0;
     std::vector<tape::Instr> _tape;
     std::vector<tape::MemState> _mems;
     std::vector<RegCommit> _regCommits;
-    std::vector<uint64_t> _staging; ///< double-buffer for reg commits
     std::vector<MemCommit> _memCommits;
     tape::Effects _effects;
 

@@ -34,6 +34,7 @@
 
 #include "netlist/evaluator.hh"
 #include "netlist/netlist.hh"
+#include "support/limbops.hh"
 
 namespace manticore::netlist::tape {
 
@@ -106,6 +107,21 @@ std::vector<MemState> buildMemStates(const Netlist &netlist,
  *  (Const/Input/RegRead). */
 Instr lower(const Netlist &netlist, NodeId id, uint32_t dst, uint32_t a,
             uint32_t b, uint32_t c, const std::vector<MemState> &mems);
+
+/** A copy of the width-bit word at slot `src` into slot `dst`: a zero
+ *  extension to its own width, which the interpreted tape and the AOT
+ *  emitter already handle. */
+inline Instr
+copy(uint32_t dst, uint32_t src, unsigned width)
+{
+    Instr in;
+    in.op = width <= 64 ? Op::NZExt : Op::WZExt;
+    in.dst = dst;
+    in.a = src;
+    in.width = in.aw = width;
+    in.mask = limbops::topMask(width);
+    return in;
+}
 
 /** The two executor instantiations behind run(): the single-lane
  *  tape (codegen-identical to the pre-ensemble executor) and the

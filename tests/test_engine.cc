@@ -7,7 +7,9 @@
  * calls of step(1) on every engine.  Also covers the satellite
  * guarantees: wrap() names agreeing with the registry, handle-based
  * inputs, and the name-listing diagnostics for unknown engines /
- * inputs / signals.
+ * inputs / signals; and, lane by lane against the reference, every
+ * kind of register next value the compiled netlist engines commit
+ * differently.
  */
 
 #include <gtest/gtest.h>
@@ -344,5 +346,142 @@ TEST(Engine, RealDesignDifferentialThroughTheInterface)
         EXPECT_EQ(res.status, engine::Status::Finished)
             << name << ": " << cc.divergence();
         EXPECT_FALSE(cc.diverged()) << name << ": " << cc.divergence();
+    }
+}
+
+namespace {
+
+/** Open design whose registers take every kind of next value the
+ *  serial compiled engines commit differently: a Const, an Input,
+ *  another register's RegRead (a swap), their own RegRead (a hold),
+ *  one node shared by two registers, a RegRead feeding a 130-bit
+ *  register, and next-value nodes an assert and a display also read.
+ *  A memory write reads a RegRead, so it must see the pre-commit
+ *  value; each lane finishes when its counter reaches input `stop`. */
+netlist::Netlist
+nextValueKindsDesign()
+{
+    netlist::CircuitBuilder b("engine_next_kinds");
+    auto x = b.input("x", 16);
+    auto stop = b.input("stop", 8);
+
+    auto cnt = b.reg("cnt", 8);
+    netlist::Signal tick = cnt.read() + b.lit(8, 1);
+    b.next(cnt, tick);
+    auto alive = b.reg("alive", 1, 1);
+    netlist::Signal ok = tick != b.lit(8, 0);
+    b.next(alive, ok);
+
+    auto k = b.reg("k", 12, 0x123);
+    b.next(k, b.lit(12, 0xabc));
+    auto in = b.reg("in", 16);
+    b.next(in, x);
+    auto swap_a = b.reg("swap_a", 16, 0x1111);
+    auto swap_b = b.reg("swap_b", 16, 0x2222);
+    b.next(swap_a, swap_b.read());
+    b.next(swap_b, swap_a.read());
+    auto hold = b.reg("hold", 24, 0xabcdef);
+    b.next(hold, hold.read());
+    netlist::Signal mixed = (in.read() ^ x) + swap_a.read();
+    auto share1 = b.reg("share1", 16);
+    auto share2 = b.reg("share2", 16);
+    b.next(share1, mixed);
+    b.next(share2, mixed);
+
+    BitVector acc_init(130, 0x5eed);
+    acc_init.setBit(129, true);
+    auto acc = b.reg("acc", acc_init);
+    b.next(acc, acc.read() + x.zext(130).shl(100u) + cnt.read().zext(130));
+    auto wide = b.reg("wide", 130);
+    b.next(wide, acc.read());
+
+    auto mem = b.memory("mem", 16, 16);
+    mem.write(cnt.read().trunc(4), swap_b.read(), x.bit(0));
+    auto rd = b.reg("rd", 16);
+    b.next(rd, mem.read(cnt.read().trunc(4) ^ b.lit(4, 5)));
+
+    b.assertAlways(b.lit(1, 1), ok, "counter wrapped");
+    b.display(ok, "tick=%d wide=%x mixed=%d", {tick, wide.read(), mixed});
+    b.finish(cnt.read() == stop);
+    return b.build();
+}
+
+/** Lane `lane`'s stimulus for `cycle`; lane 1 stops early. */
+uint64_t
+nextKindsX(unsigned lane, uint64_t cycle)
+{
+    return (lane * 40503u + cycle * 2654435761u) & 0xffff;
+}
+
+uint64_t
+nextKindsStop(unsigned lane)
+{
+    return lane == 1 ? 9 : 20 + lane % 5;
+}
+
+} // namespace
+
+TEST(Engine, EveryKindOfNextValueMatchesTheReferencePerLane)
+{
+    // Lanes 3 pad to 4, so one padded lane rides the register block
+    // copy; lane 1 finishes first, after which the remaining lanes
+    // commit one at a time.  Every lane is checked against its own
+    // reference Evaluator after every cycle.
+    const netlist::Netlist nl = nextValueKindsDesign();
+    const netlist::NodeId x = nl.findInput("x");
+    const netlist::NodeId stop = nl.findInput("stop");
+    for (const engine::EngineInfo &info : engine::list()) {
+        if (!info.available || !info.netlistLevel)
+            continue;
+        for (unsigned lanes : {1u, 3u, 16u}) {
+            if (lanes > 1 && !(info.caps & engine::cap::kEnsemble))
+                continue;
+            SCOPED_TRACE(std::string(info.name) + " lanes=" +
+                         std::to_string(lanes));
+            engine::CreateOptions options;
+            options.lanes = lanes;
+            options.eval.numThreads = 3;
+            options.eval.mergeAlgo = MergeAlgo::Lpt;
+            auto subject = engine::create(info.name, nl, options);
+            netlist::EvaluatorBase &ev =
+                dynamic_cast<engine::NetlistEngine &>(*subject).evaluator();
+            std::vector<std::unique_ptr<netlist::Evaluator>> golden;
+            for (unsigned l = 0; l < lanes; ++l) {
+                golden.push_back(std::make_unique<netlist::Evaluator>(nl));
+                golden[l]->driveInput(stop, BitVector(8, nextKindsStop(l)));
+                ev.driveInputLane(l, stop, BitVector(8, nextKindsStop(l)));
+            }
+
+            for (uint64_t cycle = 0; cycle < 30; ++cycle) {
+                for (unsigned l = 0; l < lanes; ++l) {
+                    BitVector v(16, nextKindsX(l, cycle));
+                    golden[l]->driveInput(x, v);
+                    ev.driveInputLane(l, x, v);
+                    golden[l]->step();
+                }
+                subject->step(1);
+                for (unsigned l = 0; l < lanes; ++l) {
+                    const netlist::Evaluator &g = *golden[l];
+                    SCOPED_TRACE("lane " + std::to_string(l) + " cycle " +
+                                 std::to_string(cycle));
+                    ASSERT_EQ(ev.laneStatus(l), g.status());
+                    ASSERT_EQ(ev.laneCycle(l), g.cycle());
+                    ASSERT_EQ(ev.laneFailureMessage(l), g.failureMessage());
+                    ASSERT_EQ(ev.laneDisplayLog(l), g.displayLog());
+                    for (netlist::RegId r = 0; r < nl.numRegisters(); ++r)
+                        ASSERT_EQ(ev.regValueLane(l, r).toString(),
+                                  g.regValue(r).toString())
+                            << nl.reg(r).name;
+                    for (netlist::MemId m = 0; m < nl.numMemories(); ++m)
+                        for (uint64_t a = 0; a < nl.memory(m).depth; ++a)
+                            ASSERT_EQ(ev.memValueLane(l, m, a).toString(),
+                                      g.memValue(m, a).toString())
+                                << nl.memory(m).name << "[" << a << "]";
+                }
+            }
+            for (unsigned l = 0; l < lanes; ++l)
+                EXPECT_EQ(ev.laneStatus(l), netlist::SimStatus::Finished)
+                    << "lane " << l;
+        }
     }
 }
