@@ -1,13 +1,18 @@
 /**
  * @file
- * Pins the netlist partitioner's output.
+ * Pins both partitioners' output.
  *
- *  - Every partition of every catalog design (default and large
- *    builds) at bounds {1, 2, 3, 4, 8} under both merge algorithms,
- *    hashed and compared against tests/netlist_partition_hashes.txt:
- *    with no sync cost the merge must reproduce each one bit for bit,
- *    so a rewrite of the merger is accepted only when this table
- *    stands.  On a mismatch the test writes the whole computed table
+ *  - Every netlist partition of every catalog design (default and
+ *    large builds) at bounds {1, 2, 3, 4, 8} under both merge
+ *    algorithms, hashed and compared against
+ *    tests/netlist_partition_hashes.txt: with no sync cost the merge
+ *    must reproduce each one bit for bit, so a rewrite of the merger
+ *    is accepted only when this table stands.
+ *  - Every ISA-level partition of the same designs, lowered the way
+ *    compiler::compile lowers them, at 1, 2, 3, 4 and 8 cores and at
+ *    every square grid a caller compiles for (3x3 to 18x18), against
+ *    tests/compiler_partition_hashes.txt.
+ *  - On a mismatch either table test writes the whole computed table
  *    next to gtest's temp files and names it in the failure.
  *  - The sync-aware stopping rule at the executors' calibrated
  *    constants: which large designs run as one process and which keep
@@ -22,8 +27,12 @@
 #include <string>
 #include <vector>
 
+#include "compiler/lowered.hh"
+#include "compiler/opt.hh"
+#include "compiler/partition.hh"
 #include "designs/designs.hh"
 #include "netlist/aot.hh"
+#include "netlist/optimize.hh"
 #include "netlist/parallel_evaluator.hh"
 #include "netlist/partition.hh"
 #include "support/hashing.hh"
@@ -69,20 +78,35 @@ partitionHash(const NetlistPartition &part)
     return h;
 }
 
-std::string
-tablePath()
+/** Every instruction list and the privileged index, in order, then
+ *  every stat. */
+uint64_t
+partitionHash(const compiler::Partition &part)
 {
-    return std::string(MANTICORE_SOURCE_DIR) +
-           "/tests/netlist_partition_hashes.txt";
+    uint64_t h = fold(0xcbf29ce484222325ull, part.processes.size());
+    for (const std::vector<uint32_t> &proc : part.processes)
+        h = foldList(h, proc);
+    h = fold(h, static_cast<uint64_t>(part.privileged));
+    const compiler::PartitionStats &s = part.stats;
+    for (size_t v : {s.splitProcesses, s.splitEdges, s.mergedProcesses,
+                     s.estimatedSends, s.estimatedMaxCost})
+        h = fold(h, v);
+    return h;
 }
 
-/** "<design> <build> <algo> <bound>" -> hash, from the checked-in
- *  table ('#' starts a comment line). */
+std::string
+tablePath(const std::string &file)
+{
+    return std::string(MANTICORE_SOURCE_DIR) + "/tests/" + file;
+}
+
+/** "<key> <hash>" lines of a checked-in table ('#' starts a comment
+ *  line), as key -> hash. */
 std::map<std::string, std::string>
-loadTable()
+loadTable(const std::string &file)
 {
     std::map<std::string, std::string> table;
-    std::ifstream in(tablePath());
+    std::ifstream in(tablePath(file));
     std::string line;
     while (std::getline(in, line)) {
         if (line.empty() || line[0] == '#')
@@ -91,6 +115,58 @@ loadTable()
         table[line.substr(0, cut)] = line.substr(cut + 1);
     }
     return table;
+}
+
+/** Checks computed partition hashes against tests/<file>, one failure
+ *  per moved key.  On any mismatch the whole computed table, headed
+ *  by `columns`, goes to <gtest temp dir>/<file stem>.actual. */
+class RecordedTable
+{
+  public:
+    RecordedTable(std::string file, const std::string &columns)
+        : _file(std::move(file)), _table(loadTable(_file))
+    {
+        EXPECT_FALSE(_table.empty()) << "missing " << tablePath(_file);
+        _actual << "# " << columns << " <partition hash>\n";
+    }
+
+    void
+    check(const std::string &key, uint64_t hash)
+    {
+        std::string hex = hashHex(hash);
+        _actual << key << " " << hex << "\n";
+        auto it = _table.find(key);
+        if (it != _table.end() && it->second == hex)
+            return;
+        ++_mismatches;
+        ADD_FAILURE() << key << ": hash " << hex << ", recorded "
+                      << (it == _table.end() ? "(none)" : it->second);
+    }
+
+    ~RecordedTable()
+    {
+        if (_mismatches == 0)
+            return;
+        std::string out = ::testing::TempDir() +
+                          _file.substr(0, _file.rfind('.')) + ".actual";
+        std::ofstream(out) << _actual.str();
+        ADD_FAILURE() << _mismatches << " partition(s) moved; the "
+                      << "computed table is in " << out;
+    }
+
+  private:
+    std::string _file;
+    std::map<std::string, std::string> _table;
+    std::ostringstream _actual;
+    size_t _mismatches = 0;
+};
+
+/** Both catalog builds, as ("default" | "large", designs). */
+std::vector<std::pair<std::string, const std::vector<designs::Benchmark> *>>
+catalogs()
+{
+    return {{"default", &designs::allBenchmarks()},
+            {"large", &designs::allBenchmarksLarge()}};
 }
 
 const designs::Benchmark &
@@ -118,43 +194,45 @@ processesAtThree(const std::string &design, size_t sync_cost)
 
 TEST(NetlistPartition, ZeroSyncCostReproducesEveryRecordedPartition)
 {
-    const std::map<std::string, std::string> table = loadTable();
-    ASSERT_FALSE(table.empty()) << "missing " << tablePath();
-
-    std::ostringstream actual;
-    actual << "# <design> <build> <algo> <bound> <partition hash>\n";
-    size_t mismatches = 0;
-    for (const char *build : {"default", "large"}) {
-        const std::vector<designs::Benchmark> &catalog =
-            std::string(build) == "large" ? designs::allBenchmarksLarge()
-                                          : designs::allBenchmarks();
-        for (const designs::Benchmark &bm : catalog) {
+    RecordedTable table("netlist_partition_hashes.txt",
+                        "<design> <build> <algo> <bound>");
+    for (const auto &[build, catalog] : catalogs()) {
+        for (const designs::Benchmark &bm : *catalog) {
             netlist::Netlist nl = bm.build(bm.defaultCheckCycles);
             for (MergeAlgo algo : {MergeAlgo::Balanced, MergeAlgo::Lpt})
-            for (unsigned bound : {1u, 2u, 3u, 4u, 8u}) {
-                std::string key = bm.name + " " + build + " " +
-                                  mergeAlgoName(algo) + " " +
-                                  std::to_string(bound);
-                std::string hash = hashHex(partitionHash(
-                    netlist::partitionNetlist(nl, bound, algo, 0)));
-                actual << key << " " << hash << "\n";
-                auto it = table.find(key);
-                if (it == table.end() || it->second != hash) {
-                    ++mismatches;
-                    ADD_FAILURE() << key << ": hash " << hash
-                                  << ", recorded "
-                                  << (it == table.end() ? "(none)"
-                                                        : it->second);
-                }
-            }
+            for (unsigned bound : {1u, 2u, 3u, 4u, 8u})
+                table.check(bm.name + " " + build + " " +
+                                mergeAlgoName(algo) + " " +
+                                std::to_string(bound),
+                            partitionHash(netlist::partitionNetlist(
+                                nl, bound, algo, 0)));
         }
     }
-    if (mismatches != 0) {
-        std::string out =
-            ::testing::TempDir() + "netlist_partition_hashes.actual";
-        std::ofstream(out) << actual.str();
-        ADD_FAILURE() << mismatches << " partition(s) moved; the "
-                      << "computed table is in " << out;
+}
+
+TEST(CompilerPartition, ReproducesEveryRecordedPartition)
+{
+    // 1-8 cores, then the square grids callers compile for: 6x6 and
+    // 8x8 in the benches, 15x15 by default, and the Fig. 7 sweep.
+    const unsigned cores[] = {1,   2,   3,   4,   8,   9,   16,  25,  36,
+                              49,  64,  81,  121, 169, 225, 256, 289, 324};
+    RecordedTable table("compiler_partition_hashes.txt",
+                        "<design> <build> <algo> <cores>");
+    for (const auto &[build, catalog] : catalogs()) {
+        for (const designs::Benchmark &bm : *catalog) {
+            // As compiler::compile lowers it.
+            compiler::LoweredProgram lowered = compiler::lower(
+                netlist::optimizeNetlist(bm.build(bm.defaultCheckCycles)),
+                isa::MachineConfig{}.scratchSize);
+            compiler::optimize(lowered);
+            for (MergeAlgo algo : {MergeAlgo::Balanced, MergeAlgo::Lpt})
+            for (unsigned n : cores)
+                table.check(bm.name + " " + build + " " +
+                                mergeAlgoName(algo) + " " +
+                                std::to_string(n),
+                            partitionHash(
+                                compiler::partition(lowered, n, algo)));
+        }
     }
 }
 
