@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <memory>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "support/logging.hh"
 
@@ -49,34 +48,6 @@ class UnionFind
   private:
     std::vector<int> _parent;
 };
-
-std::vector<uint32_t>
-sortedUnion(const std::vector<uint32_t> &a, const std::vector<uint32_t> &b)
-{
-    std::vector<uint32_t> out;
-    out.reserve(a.size() + b.size());
-    std::set_union(a.begin(), a.end(), b.begin(), b.end(),
-                   std::back_inserter(out));
-    return out;
-}
-
-size_t
-unionSize(const std::vector<uint32_t> &a, const std::vector<uint32_t> &b)
-{
-    size_t i = 0, j = 0, n = 0;
-    while (i < a.size() && j < b.size()) {
-        if (a[i] == b[j]) {
-            ++i;
-            ++j;
-        } else if (a[i] < b[j]) {
-            ++i;
-        } else {
-            ++j;
-        }
-        ++n;
-    }
-    return n + (a.size() - i) + (b.size() - j);
-}
 
 /** The splitter: seeds, anchored-union fixpoint, cones. */
 class Splitter
@@ -265,320 +236,61 @@ class Splitter
     int _privSeed = -1;
 };
 
-/** Merging machinery shared by both algorithms. */
-class Merger
-{
-  public:
-    Merger(const LoweredProgram &prog, Splitter::Result split)
-        : _prog(prog)
-    {
-        _instrs = std::move(split.cones);
-        _alive.assign(_instrs.size(), true);
-        _privProc = split.privileged;
-        buildCommunication();
-    }
-
-    size_t splitEdges() const { return _splitEdges; }
-
-    /** Cost model: instructions + sends (§6.1; NOPs excluded because
-     *  scheduling has not happened yet). */
-    size_t
-    cost(int p) const
-    {
-        return _instrs[p].size() + sends(p);
-    }
-
-    size_t
-    sends(int p) const
-    {
-        size_t n = 0;
-        for (uint32_t chunk : _ownedChunks[p])
-            for (int r : _readers[chunk])
-                if (r != p)
-                    ++n;
-        return n;
-    }
-
-    size_t
-    mergedCost(int a, int b) const
-    {
-        size_t instrs = unionSize(_instrs[a], _instrs[b]);
-        size_t s = 0;
-        for (int p : {a, b})
-            for (uint32_t chunk : _ownedChunks[p])
-                for (int r : _readers[chunk])
-                    if (r != a && r != b)
-                        ++s;
-        return instrs + s;
-    }
-
-    void
-    merge(int a, int b)
-    {
-        MANTICORE_ASSERT(a != b && _alive[a] && _alive[b], "bad merge");
-        _instrs[a] = sortedUnion(_instrs[a], _instrs[b]);
-        for (uint32_t chunk : _ownedChunks[b])
-            _ownedChunks[a].push_back(chunk);
-        _ownedChunks[b].clear();
-        // Re-point b's readership at a.
-        for (uint32_t chunk : _readChunks[b]) {
-            auto &rd = _readers[chunk];
-            rd.erase(std::remove(rd.begin(), rd.end(), b), rd.end());
-            if (std::find(rd.begin(), rd.end(), a) == rd.end())
-                rd.push_back(a);
-        }
-        _readChunks[a].insert(_readChunks[a].end(),
-                              _readChunks[b].begin(),
-                              _readChunks[b].end());
-        std::sort(_readChunks[a].begin(), _readChunks[a].end());
-        _readChunks[a].erase(std::unique(_readChunks[a].begin(),
-                                         _readChunks[a].end()),
-                             _readChunks[a].end());
-        _readChunks[b].clear();
-        for (int n : _neighbors[b]) {
-            auto &nn = _neighbors[n];
-            nn.erase(b);
-            if (n != a) {
-                nn.insert(a);
-                _neighbors[a].insert(n);
-            }
-        }
-        _neighbors[a].erase(a);
-        _neighbors[b].clear();
-        _alive[b] = false;
-        if (_privProc == b)
-            _privProc = a;
-        --_aliveCount;
-    }
-
-    size_t aliveCount() const { return _aliveCount; }
-    bool alive(int p) const { return _alive[p]; }
-    size_t numProcs() const { return _instrs.size(); }
-    const std::unordered_set<int> &neighbors(int p) const
-    {
-        return _neighbors[p];
-    }
-    int privileged() const { return _privProc; }
-
-    Partition
-    finish(MergeAlgo, size_t split_count)
-    {
-        Partition part;
-        part.stats.splitProcesses = split_count;
-        part.stats.splitEdges = _splitEdges;
-        std::unordered_map<int, int> remap;
-        for (size_t p = 0; p < _instrs.size(); ++p) {
-            if (!_alive[p])
-                continue;
-            remap[static_cast<int>(p)] =
-                static_cast<int>(part.processes.size());
-            part.processes.push_back(std::move(_instrs[p]));
-            size_t c = part.processes.back().size() +
-                       sends(static_cast<int>(p));
-            part.stats.estimatedMaxCost =
-                std::max(part.stats.estimatedMaxCost, c);
-            part.stats.estimatedSends += sends(static_cast<int>(p));
-        }
-        part.stats.mergedProcesses = part.processes.size();
-        if (_privProc != -1)
-            part.privileged = remap.at(_privProc);
-        return part;
-    }
-
-  private:
-    void
-    buildCommunication()
-    {
-        // Chunk k (dense id) = RTL register chunk; owner = process
-        // containing its MOV; readers = processes reading `current`.
-        std::unordered_map<Reg, uint32_t> chunk_of_current;
-        std::unordered_map<uint32_t, uint32_t> chunk_of_mov;
-        uint32_t next_chunk = 0;
-        for (const auto &chunks : _prog.rtlRegs) {
-            for (const auto &c : chunks) {
-                chunk_of_current[c.current] = next_chunk;
-                chunk_of_mov[c.movIndex] = next_chunk;
-                ++next_chunk;
-            }
-        }
-        _readers.assign(next_chunk, {});
-        _ownedChunks.assign(_instrs.size(), {});
-        _readChunks.assign(_instrs.size(), {});
-        _neighbors.assign(_instrs.size(), {});
-        std::vector<int> owner(next_chunk, -1);
-
-        for (size_t p = 0; p < _instrs.size(); ++p) {
-            for (uint32_t idx : _instrs[p]) {
-                auto mv = chunk_of_mov.find(idx);
-                if (mv != chunk_of_mov.end() &&
-                    _prog.body[idx].opcode == Opcode::Mov)
-                    owner[mv->second] = static_cast<int>(p);
-                for (Reg s : _prog.body[idx].sources()) {
-                    auto it = chunk_of_current.find(s);
-                    if (it != chunk_of_current.end()) {
-                        auto &rd = _readers[it->second];
-                        if (std::find(rd.begin(), rd.end(),
-                                      static_cast<int>(p)) == rd.end()) {
-                            rd.push_back(static_cast<int>(p));
-                            _readChunks[p].push_back(it->second);
-                        }
-                    }
-                }
-            }
-        }
-
-        for (uint32_t c = 0; c < next_chunk; ++c) {
-            MANTICORE_ASSERT(owner[c] != -1, "chunk without owner");
-            _ownedChunks[owner[c]].push_back(c);
-            for (int r : _readers[c]) {
-                if (r != owner[c]) {
-                    _neighbors[owner[c]].insert(r);
-                    _neighbors[r].insert(owner[c]);
-                    ++_splitEdges;
-                }
-            }
-        }
-        _aliveCount = _instrs.size();
-    }
-
-    const LoweredProgram &_prog;
-    std::vector<std::vector<uint32_t>> _instrs;
-    std::vector<bool> _alive;
-    size_t _aliveCount = 0;
-    int _privProc = -1;
-    /// Per dense chunk id: reader process ids.
-    std::vector<std::vector<int>> _readers;
-    /// Per process: chunks it owns / chunks it reads.
-    std::vector<std::vector<uint32_t>> _ownedChunks;
-    std::vector<std::vector<uint32_t>> _readChunks;
-    std::vector<std::unordered_set<int>> _neighbors;
-    size_t _splitEdges = 0;
-};
-
-void
-mergeBalanced(Merger &m, unsigned num_cores)
-{
-    while (m.aliveCount() > 1) {
-        // Pick the cheapest alive process.
-        int best_p = -1;
-        size_t best_cost = 0;
-        size_t max_cost = 0;
-        for (size_t p = 0; p < m.numProcs(); ++p) {
-            if (!m.alive(static_cast<int>(p)))
-                continue;
-            size_t c = m.cost(static_cast<int>(p));
-            max_cost = std::max(max_cost, c);
-            if (best_p == -1 || c < best_cost) {
-                best_p = static_cast<int>(p);
-                best_cost = c;
-            }
-        }
-
-        // Candidate partners: communicating neighbours, plus the
-        // smallest non-neighbour.  Communication-aware merging wants
-        // neighbours (shared values stop being SENDs), but in
-        // hub-and-spoke designs a process's only neighbour can be a
-        // huge hub; offering one cheap outsider lets the cost model
-        // avoid accreting everything onto the hub.
-        int best_q = -1;
-        size_t best_merged = 0;
-        auto consider = [&](int q) {
-            if (q == best_p || !m.alive(q))
-                return;
-            size_t c = m.mergedCost(best_p, q);
-            if (best_q == -1 || c < best_merged) {
-                best_q = q;
-                best_merged = c;
-            }
-        };
-        for (int q : m.neighbors(best_p))
-            consider(q);
-        int smallest_other = -1;
-        size_t smallest_cost = 0;
-        for (size_t q = 0; q < m.numProcs(); ++q) {
-            int qi = static_cast<int>(q);
-            if (qi == best_p || !m.alive(qi) ||
-                m.neighbors(best_p).count(qi))
-                continue;
-            size_t c = m.cost(qi);
-            if (smallest_other == -1 || c < smallest_cost) {
-                smallest_other = qi;
-                smallest_cost = c;
-            }
-        }
-        if (smallest_other != -1)
-            consider(smallest_other);
-        if (best_q == -1)
-            break;
-
-        if (m.aliveCount() > num_cores) {
-            m.merge(best_p, best_q);
-        } else if (best_merged <= max_cost) {
-            // Past the core budget, keep merging only while it cannot
-            // create a new straggler (§6.1: merging can continue when
-            // it reduces execution time).
-            m.merge(best_p, best_q);
-        } else {
-            break;
-        }
-    }
-}
-
-void
-mergeLpt(Merger &m, unsigned num_cores)
-{
-    // Longest-processing-time-first bin packing, oblivious to
-    // communication: repeatedly place the largest un-binned process
-    // into the least-loaded bin (a bin is represented by the first
-    // process merged into it).
-    std::vector<int> order;
-    for (size_t p = 0; p < m.numProcs(); ++p)
-        if (m.alive(static_cast<int>(p)))
-            order.push_back(static_cast<int>(p));
-    std::sort(order.begin(), order.end(), [&](int a, int b) {
-        return m.cost(a) > m.cost(b);
-    });
-
-    size_t bins = std::min<size_t>(num_cores, order.size());
-    std::vector<int> bin_repr;
-    std::vector<size_t> bin_load;
-    for (int p : order) {
-        if (bin_repr.size() < bins) {
-            bin_repr.push_back(p);
-            bin_load.push_back(m.cost(p));
-            continue;
-        }
-        size_t best = 0;
-        for (size_t b = 1; b < bin_repr.size(); ++b)
-            if (bin_load[b] < bin_load[best])
-                best = b;
-        // LPT uses the linear cost estimate when packing.
-        bin_load[best] += m.cost(p);
-        m.merge(bin_repr[best], p);
-    }
-}
-
 } // namespace
 
 Partition
 partition(const LoweredProgram &program, unsigned num_cores,
           MergeAlgo algo)
 {
-    MANTICORE_ASSERT(num_cores >= 1, "need at least one core");
-    Splitter splitter(program);
-    Splitter::Result split = splitter.run();
+    Splitter::Result split = Splitter(program).run();
     MANTICORE_ASSERT(!split.cones.empty(), "design has no sinks");
-    size_t split_count = split.cones.size();
 
-    Merger merger(program, std::move(split));
-    if (algo == MergeAlgo::Balanced)
-        mergeBalanced(merger, num_cores);
-    else
-        mergeLpt(merger, num_cores);
+    // Items are instructions and values are the RTL registers' 16-bit
+    // chunks, numbered in rtlRegs order, all of weight 1 (NOPs do not
+    // exist before scheduling).  A chunk is committed by the process
+    // holding its MOV and read by those reading its current-value
+    // register.
+    std::unordered_map<Reg, uint32_t> chunk_of_current;
+    std::unordered_map<uint32_t, uint32_t> chunk_of_mov;
+    uint32_t num_chunks = 0;
+    for (const auto &chunks : program.rtlRegs) {
+        for (const RegChunkInfo &c : chunks) {
+            chunk_of_current[c.current] = num_chunks;
+            chunk_of_mov[c.movIndex] = num_chunks;
+            ++num_chunks;
+        }
+    }
+    merge::Problem problem;
+    problem.itemWeight.assign(program.body.size(), 1);
+    problem.valueWidth.assign(num_chunks, 1);
+    for (std::vector<uint32_t> &cone : split.cones) {
+        merge::Process proc;
+        for (uint32_t idx : cone) {
+            auto mv = chunk_of_mov.find(idx);
+            if (mv != chunk_of_mov.end() &&
+                program.body[idx].opcode == Opcode::Mov)
+                proc.commits.push_back(mv->second);
+            for (Reg s : program.body[idx].sources()) {
+                auto it = chunk_of_current.find(s);
+                if (it != chunk_of_current.end())
+                    proc.reads.push_back(it->second);
+            }
+        }
+        std::sort(proc.reads.begin(), proc.reads.end());
+        proc.reads.erase(std::unique(proc.reads.begin(), proc.reads.end()),
+                         proc.reads.end());
+        proc.items = std::move(cone);
+        problem.processes.push_back(std::move(proc));
+    }
 
-    Partition part = merger.finish(algo, split_count);
-    MANTICORE_ASSERT(part.processes.size() <= num_cores,
-                     "merge produced too many processes");
+    // No sync cost: a Vcycle's length is the straggler's schedule.
+    merge::Result merged =
+        merge::mergeProcesses(problem, num_cores, algo, 0);
+    Partition part;
+    part.processes = std::move(merged.items);
+    if (split.privileged != -1)
+        part.privileged = merged.groupOf[split.privileged];
+    part.stats = merged.stats;
     return part;
 }
 

@@ -11,10 +11,13 @@
  * Cross-process dataflow is therefore restricted to end-of-Vcycle
  * register updates, which materialise as SEND instructions.
  *
- * Two merge strategies are provided: the communication-aware balanced
- * heuristic (B) the paper contributes, and the communication-oblivious
+ * The merge is the one shared with the netlist-level partitioner
+ * (support/merge.hh): the communication-aware balanced heuristic (B)
+ * the paper contributes, or the communication-oblivious
  * longest-processing-time-first baseline (L) it compares against
- * (§7.8.1 / Fig. 9 / Table 4).
+ * (§7.8.1 / Fig. 9 / Table 4).  This level states the split to it as
+ * instructions of weight 1 committing and reading 16-bit register
+ * chunks of width 1, with no sync cost.
  */
 
 #ifndef MANTICORE_COMPILER_PARTITION_HH
@@ -24,26 +27,17 @@
 #include <vector>
 
 #include "compiler/lowered.hh"
-#include "support/mergealgo.hh"
+#include "support/merge.hh"
 
 namespace manticore::compiler {
 
-/// Merge strategy (B / L); the enum is shared with the netlist-level
-/// partitioner (netlist/partition.hh) so harnesses sweep one knob.
+/// Merge strategy (B / L), shared with the netlist-level partitioner
+/// (netlist/partition.hh) so harnesses sweep one knob.
 using MergeAlgo = ::manticore::MergeAlgo;
 
-struct PartitionStats
-{
-    /// Split-graph size before merging (Table 8's |V| and |E|).
-    size_t splitProcesses = 0;
-    size_t splitEdges = 0;
-    /// After merging.
-    size_t mergedProcesses = 0;
-    /// Estimated SEND count of the final partition (Table 4).
-    size_t estimatedSends = 0;
-    /// Estimated cost (instructions + sends) of the straggler.
-    size_t estimatedMaxCost = 0;
-};
+/// The merge's stats: items are instructions, sends are SENDs of
+/// 16-bit register chunks.
+using PartitionStats = merge::Stats;
 
 struct Partition
 {

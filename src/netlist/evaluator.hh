@@ -33,7 +33,7 @@
 
 #include "exec/lane_state.hh"
 #include "netlist/netlist.hh"
-#include "support/mergealgo.hh"
+#include "support/merge.hh"
 
 namespace manticore::support {
 class ByteWriter;

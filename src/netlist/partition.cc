@@ -5,7 +5,6 @@
 #include <unordered_set>
 
 #include "support/limbops.hh"
-#include "support/logging.hh"
 
 namespace manticore::netlist {
 
@@ -15,15 +14,6 @@ namespace {
 
 constexpr size_t kNone = ~size_t{0};
 
-/** Per-node evaluation-cost proxy: the limb count, so a 200-bit
- *  multiply weighs more than a 1-bit AND (the netlist analogue of the
- *  compiler's instruction count, which is also per-16-bit-chunk). */
-unsigned
-nodeWeight(const Netlist &nl, NodeId id)
-{
-    return lo::nlimbs(nl.node(id).width);
-}
-
 bool
 isSource(OpKind kind)
 {
@@ -31,13 +21,14 @@ isSource(OpKind kind)
            kind == OpKind::RegRead;
 }
 
-/** One pre-merge process: a sink's backward combinational cone. */
+/** One pre-merge process: a sink's backward combinational cone as the
+ *  merger sees it (items: its nodes; commits: the registers it owns;
+ *  reads: the registers whose current value feeds it), plus the
+ *  memory writes and side effects it owns. */
 struct Seed
 {
-    std::vector<NodeId> nodes;    ///< sorted, combinational only
-    std::vector<RegId> registers; ///< owned commits
+    merge::Process cone;
     std::vector<uint32_t> memWrites;
-    std::vector<RegId> reads;     ///< registers whose current feeds it
     bool effects = false;
 };
 
@@ -69,37 +60,14 @@ makeCone(const Netlist &nl, const std::vector<NodeId> &sinks)
     while (!stack.empty()) {
         NodeId id = stack.back();
         stack.pop_back();
-        seed.nodes.push_back(id);
+        seed.cone.items.push_back(id);
         for (NodeId operand : nl.node(id).operands)
             push(operand);
     }
-    std::sort(seed.nodes.begin(), seed.nodes.end());
-    seed.reads.assign(reads.begin(), reads.end());
-    std::sort(seed.reads.begin(), seed.reads.end());
+    std::sort(seed.cone.items.begin(), seed.cone.items.end());
+    seed.cone.reads.assign(reads.begin(), reads.end());
+    std::sort(seed.cone.reads.begin(), seed.cone.reads.end());
     return seed;
-}
-
-std::vector<uint32_t>
-sortedUnion(const std::vector<uint32_t> &a, const std::vector<uint32_t> &b)
-{
-    std::vector<uint32_t> out;
-    out.reserve(a.size() + b.size());
-    std::set_union(a.begin(), a.end(), b.begin(), b.end(),
-                   std::back_inserter(out));
-    return out;
-}
-
-/** Merge `from` into `into`: the union of two cones and everything
- *  they own. */
-void
-absorb(Seed &into, const Seed &from)
-{
-    into.nodes = sortedUnion(into.nodes, from.nodes);
-    into.registers.insert(into.registers.end(), from.registers.begin(),
-                          from.registers.end());
-    into.memWrites = sortedUnion(into.memWrites, from.memWrites);
-    into.reads = sortedUnion(into.reads, from.reads);
-    into.effects |= from.effects;
 }
 
 /** Fold every seed whose cone reads a written memory into the seed
@@ -121,7 +89,7 @@ anchorMemoryReads(const Netlist &nl, std::vector<Seed> seeds,
         return s;
     };
     for (size_t s = 0; s < seeds.size(); ++s) {
-        for (NodeId id : seeds[s].nodes) {
+        for (NodeId id : seeds[s].cone.items) {
             const Node &n = nl.node(id);
             if (n.kind != OpKind::MemRead || writer[n.memId] == kNone)
                 continue;
@@ -139,9 +107,13 @@ anchorMemoryReads(const Netlist &nl, std::vector<Seed> seeds,
         if (at[r] == kNone) {
             at[r] = out.size();
             out.push_back(std::move(seeds[s]));
-        } else {
-            absorb(out[at[r]], seeds[s]);
+            continue;
         }
+        Seed &into = out[at[r]];
+        merge::absorb(into.cone, seeds[s].cone);
+        into.memWrites =
+            merge::sortedUnion(into.memWrites, seeds[s].memWrites);
+        into.effects |= seeds[s].effects;
     }
     return out;
 }
@@ -154,7 +126,7 @@ split(const Netlist &nl)
     // One seed per register: the cone of its next-value.
     for (size_t r = 0; r < nl.numRegisters(); ++r) {
         Seed s = makeCone(nl, {nl.reg(static_cast<RegId>(r)).next});
-        s.registers.push_back(static_cast<RegId>(r));
+        s.cone.commits.push_back(static_cast<RegId>(r));
         seeds.push_back(std::move(s));
     }
 
@@ -204,371 +176,52 @@ split(const Netlist &nl)
     return anchorMemoryReads(nl, std::move(seeds), writer);
 }
 
-/** Merging machinery shared by both algorithms — the compiler
- *  Merger's structure with registers in place of 16-bit chunks and
- *  limb-weighted costs. */
-class Merger
-{
-  public:
-    Merger(const Netlist &nl, std::vector<Seed> seeds)
-        : _nl(nl), _procs(std::move(seeds))
-    {
-        _alive.assign(_procs.size(), true);
-        _aliveCount = _procs.size();
-        _weight.resize(_procs.size());
-        for (size_t p = 0; p < _procs.size(); ++p) {
-            size_t w = 0;
-            for (NodeId id : _procs[p].nodes)
-                w += nodeWeight(_nl, id);
-            _weight[p] = w;
-        }
-        buildCommunication();
-    }
-
-    size_t splitEdges() const { return _splitEdges; }
-
-    /** Cost model: weighted nodes + sends (§6.1). */
-    size_t cost(int p) const { return _weight[p] + sends(p); }
-
-    size_t
-    sends(int p) const
-    {
-        size_t n = 0;
-        for (RegId r : _procs[p].registers)
-            n += static_cast<size_t>(regLimbs(r)) * foreignReaders(r, p, p);
-        return n;
-    }
-
-    size_t
-    mergedCost(int a, int b) const
-    {
-        // Weighted union of the node sets (shared nodes deduplicate).
-        size_t w = 0;
-        const auto &na = _procs[a].nodes, &nb = _procs[b].nodes;
-        size_t i = 0, j = 0;
-        while (i < na.size() && j < nb.size()) {
-            NodeId id;
-            if (na[i] == nb[j]) {
-                id = na[i];
-                ++i;
-                ++j;
-            } else if (na[i] < nb[j]) {
-                id = na[i++];
-            } else {
-                id = nb[j++];
-            }
-            w += nodeWeight(_nl, id);
-        }
-        for (; i < na.size(); ++i)
-            w += nodeWeight(_nl, na[i]);
-        for (; j < nb.size(); ++j)
-            w += nodeWeight(_nl, nb[j]);
-
-        for (int p : {a, b})
-            for (RegId r : _procs[p].registers)
-                w += static_cast<size_t>(regLimbs(r)) *
-                     foreignReaders(r, a, b);
-        return w;
-    }
-
-    void
-    merge(int a, int b)
-    {
-        MANTICORE_ASSERT(a != b && _alive[a] && _alive[b], "bad merge");
-        Seed &pa = _procs[a];
-        Seed &pb = _procs[b];
-        absorb(pa, pb);
-        size_t w = 0;
-        for (NodeId id : pa.nodes)
-            w += nodeWeight(_nl, id);
-        _weight[a] = w;
-        // Re-point b's readership at a.
-        for (RegId r : pb.reads) {
-            auto &rd = _readers[r];
-            rd.erase(std::remove(rd.begin(), rd.end(), b), rd.end());
-            if (std::find(rd.begin(), rd.end(), a) == rd.end())
-                rd.push_back(a);
-        }
-        pb = Seed{};
-        for (int n : _neighbors[b]) {
-            auto &nn = _neighbors[n];
-            nn.erase(b);
-            if (n != a) {
-                nn.insert(a);
-                _neighbors[a].insert(n);
-            }
-        }
-        _neighbors[a].erase(a);
-        _neighbors[b].clear();
-        _alive[b] = false;
-        --_aliveCount;
-    }
-
-    size_t aliveCount() const { return _aliveCount; }
-    /** The straggler's cost. */
-    size_t
-    maxCost() const
-    {
-        size_t c = 0;
-        for (size_t p = 0; p < _procs.size(); ++p)
-            if (_alive[p])
-                c = std::max(c, cost(static_cast<int>(p)));
-        return c;
-    }
-    bool alive(int p) const { return _alive[p]; }
-    size_t numProcs() const { return _procs.size(); }
-    const std::unordered_set<int> &neighbors(int p) const
-    {
-        return _neighbors[p];
-    }
-
-    NetlistPartition
-    finish(size_t split_count, size_t split_edges)
-    {
-        NetlistPartition part;
-        part.stats.splitProcesses = split_count;
-        part.stats.splitEdges = split_edges;
-        size_t netlist_instances = 0;
-        for (size_t p = 0; p < _procs.size(); ++p) {
-            if (!_alive[p])
-                continue;
-            size_t c = cost(static_cast<int>(p));
-            part.stats.estimatedMaxCost =
-                std::max(part.stats.estimatedMaxCost, c);
-            part.stats.totalCost += c;
-            part.stats.estimatedSends += sends(static_cast<int>(p));
-            netlist_instances += _procs[p].nodes.size();
-            NetlistProcess proc;
-            proc.nodes = std::move(_procs[p].nodes);
-            proc.registers = std::move(_procs[p].registers);
-            std::sort(proc.registers.begin(), proc.registers.end());
-            proc.memWrites = std::move(_procs[p].memWrites);
-            proc.effects = _procs[p].effects;
-            part.processes.push_back(std::move(proc));
-        }
-        part.stats.mergedProcesses = part.processes.size();
-        size_t live = 0;
-        for (const Node &n : _nl.nodes())
-            if (!isSource(n.kind))
-                ++live;
-        part.stats.duplicatedNodes =
-            netlist_instances > live ? netlist_instances - live : 0;
-        return part;
-    }
-
-  private:
-    unsigned regLimbs(RegId r) const
-    {
-        return lo::nlimbs(_nl.reg(r).width);
-    }
-
-    /** Readers of register r outside the (a, b) pair being costed. */
-    size_t
-    foreignReaders(RegId r, int a, int b) const
-    {
-        size_t n = 0;
-        for (int p : _readers[r])
-            if (p != a && p != b)
-                ++n;
-        return n;
-    }
-
-    void
-    buildCommunication()
-    {
-        _readers.assign(_nl.numRegisters(), {});
-        _neighbors.assign(_procs.size(), {});
-        std::vector<int> owner(_nl.numRegisters(), -1);
-        for (size_t p = 0; p < _procs.size(); ++p) {
-            for (RegId r : _procs[p].registers)
-                owner[r] = static_cast<int>(p);
-            for (RegId r : _procs[p].reads)
-                _readers[r].push_back(static_cast<int>(p));
-        }
-        for (size_t r = 0; r < _nl.numRegisters(); ++r) {
-            for (int rd : _readers[r]) {
-                if (rd != owner[r]) {
-                    _neighbors[owner[r]].insert(rd);
-                    _neighbors[rd].insert(owner[r]);
-                    ++_splitEdges;
-                }
-            }
-        }
-    }
-
-    const Netlist &_nl;
-    std::vector<Seed> _procs;
-    std::vector<size_t> _weight;
-    std::vector<bool> _alive;
-    size_t _aliveCount = 0;
-    /// Per register: processes reading its current value.
-    std::vector<std::vector<int>> _readers;
-    std::vector<std::unordered_set<int>> _neighbors;
-    size_t _splitEdges = 0;
-};
-
-/** One step of the Balanced merge sequence: the cheapest process p
- *  and the partner q minimising the merged cost — neighbours
- *  preferred (shared registers stop being sends), plus the smallest
- *  outsider so hub-and-spoke designs don't accrete onto the hub.
- *  q is -1 when p has no partner left. */
-struct MergeStep
-{
-    int p = -1;
-    int q = -1;
-    size_t merged = 0;  ///< cost of p and q merged
-    size_t maxCost = 0; ///< the straggler's cost before the merge
-};
-
-MergeStep
-nextMerge(const Merger &m)
-{
-    MergeStep s;
-    size_t best_cost = 0;
-    for (size_t p = 0; p < m.numProcs(); ++p) {
-        if (!m.alive(static_cast<int>(p)))
-            continue;
-        size_t c = m.cost(static_cast<int>(p));
-        s.maxCost = std::max(s.maxCost, c);
-        if (s.p == -1 || c < best_cost) {
-            s.p = static_cast<int>(p);
-            best_cost = c;
-        }
-    }
-
-    auto consider = [&](int q) {
-        if (q == s.p || !m.alive(q))
-            return;
-        size_t c = m.mergedCost(s.p, q);
-        if (s.q == -1 || c < s.merged) {
-            s.q = q;
-            s.merged = c;
-        }
-    };
-    for (int q : m.neighbors(s.p))
-        consider(q);
-    int smallest_other = -1;
-    size_t smallest_cost = 0;
-    for (size_t q = 0; q < m.numProcs(); ++q) {
-        int qi = static_cast<int>(q);
-        if (qi == s.p || !m.alive(qi) || m.neighbors(s.p).count(qi))
-            continue;
-        size_t c = m.cost(qi);
-        if (smallest_other == -1 || c < smallest_cost) {
-            smallest_other = qi;
-            smallest_cost = c;
-        }
-    }
-    if (smallest_other != -1)
-        consider(smallest_other);
-    return s;
-}
-
-/** Predicted Vcycle cost of the merger's current state: the
- *  straggler, plus the sync that only more than one process pays. */
-size_t
-vcycleCost(const Merger &m, size_t sync_cost)
-{
-    return m.maxCost() + (m.aliveCount() > 1 ? sync_cost : 0);
-}
-
-/** Communication-aware balanced merging (B): follow the merge
- *  sequence down to the process budget, then keep merging only while
- *  it cannot create a new straggler (§6.1).  That stop ignores the
- *  Vcycle's fixed sync, so from it the sequence continues down to one
- *  process and the state with the lowest vcycleCost() wins; the stop
- *  wins ties.  States before the stop cannot win — the ones within
- *  the budget never raise the straggler and pay the same sync — so
- *  the candidates are the stop plus at most num_processes - 1 more
- *  merges. */
-void
-mergeBalanced(Merger &m, unsigned num_processes, size_t sync_cost)
-{
-    while (m.aliveCount() > 1) {
-        MergeStep s = nextMerge(m);
-        if (s.q == -1 ||
-            (m.aliveCount() <= num_processes && s.merged > s.maxCost))
-            break;
-        m.merge(s.p, s.q);
-    }
-
-    // Walk the rest of the sequence on a copy, then replay the
-    // winning prefix: the sequence is deterministic.
-    Merger trial = m;
-    size_t best = vcycleCost(m, sync_cost);
-    size_t best_steps = 0;
-    for (size_t steps = 1; trial.aliveCount() > 1; ++steps) {
-        MergeStep s = nextMerge(trial);
-        if (s.q == -1)
-            break;
-        trial.merge(s.p, s.q);
-        size_t c = vcycleCost(trial, sync_cost);
-        if (c < best) {
-            best = c;
-            best_steps = steps;
-        }
-    }
-    for (size_t i = 0; i < best_steps; ++i) {
-        MergeStep s = nextMerge(m);
-        m.merge(s.p, s.q);
-    }
-}
-
-/** Longest-processing-time-first bin packing (L), oblivious to
- *  communication: place the largest un-binned process into the
- *  least-loaded bin. */
-void
-mergeLpt(Merger &m, unsigned num_processes)
-{
-    std::vector<int> order;
-    for (size_t p = 0; p < m.numProcs(); ++p)
-        if (m.alive(static_cast<int>(p)))
-            order.push_back(static_cast<int>(p));
-    std::sort(order.begin(), order.end(), [&](int a, int b) {
-        return m.cost(a) > m.cost(b);
-    });
-
-    size_t bins = std::min<size_t>(num_processes, order.size());
-    std::vector<int> bin_repr;
-    std::vector<size_t> bin_load;
-    for (int p : order) {
-        if (bin_repr.size() < bins) {
-            bin_repr.push_back(p);
-            bin_load.push_back(m.cost(p));
-            continue;
-        }
-        size_t best = 0;
-        for (size_t b = 1; b < bin_repr.size(); ++b)
-            if (bin_load[b] < bin_load[best])
-                best = b;
-        // LPT uses the linear cost estimate when packing.
-        bin_load[best] += m.cost(p);
-        m.merge(bin_repr[best], p);
-    }
-}
-
 } // namespace
 
 NetlistPartition
 partitionNetlist(const Netlist &netlist, unsigned num_processes,
                  MergeAlgo algo, size_t sync_cost)
 {
-    MANTICORE_ASSERT(num_processes >= 1, "need at least one process");
+    // Items are nodes and values are registers, both weighted by limb
+    // count: a 200-bit multiply weighs more than a 1-bit AND (the
+    // netlist analogue of the compiler's per-16-bit-chunk costs).
     std::vector<Seed> seeds = split(netlist);
-    if (seeds.empty())
-        return {};
+    merge::Problem problem;
+    for (const Node &n : netlist.nodes())
+        problem.itemWeight.push_back(lo::nlimbs(n.width));
+    for (const Register &r : netlist.registers())
+        problem.valueWidth.push_back(lo::nlimbs(r.width));
+    for (Seed &s : seeds)
+        problem.processes.push_back(std::move(s.cone));
+    merge::Result merged =
+        merge::mergeProcesses(problem, num_processes, algo, sync_cost);
 
-    Merger merger(netlist, std::move(seeds));
-    size_t split_count = merger.numProcs();
-    size_t split_edges = merger.splitEdges();
-    if (algo == MergeAlgo::Balanced)
-        mergeBalanced(merger, num_processes, sync_cost);
-    else
-        mergeLpt(merger, num_processes);
-
-    NetlistPartition part = merger.finish(split_count, split_edges);
-    MANTICORE_ASSERT(part.processes.size() <= num_processes,
-                     "merge produced too many processes");
+    NetlistPartition part;
+    part.processes.resize(merged.items.size());
+    for (size_t s = 0; s < seeds.size(); ++s) {
+        NetlistProcess &proc = part.processes[merged.groupOf[s]];
+        const std::vector<uint32_t> &regs = problem.processes[s].commits;
+        proc.registers.insert(proc.registers.end(), regs.begin(),
+                              regs.end());
+        proc.memWrites.insert(proc.memWrites.end(),
+                              seeds[s].memWrites.begin(),
+                              seeds[s].memWrites.end());
+        proc.effects |= seeds[s].effects;
+    }
+    size_t instances = 0;
+    for (size_t p = 0; p < part.processes.size(); ++p) {
+        NetlistProcess &proc = part.processes[p];
+        proc.nodes = std::move(merged.items[p]);
+        std::sort(proc.registers.begin(), proc.registers.end());
+        std::sort(proc.memWrites.begin(), proc.memWrites.end());
+        instances += proc.nodes.size();
+    }
+    static_cast<merge::Stats &>(part.stats) = merged.stats;
+    size_t live = 0;
+    for (const Node &n : netlist.nodes())
+        if (!isSource(n.kind))
+            ++live;
+    part.stats.duplicatedNodes = instances > live ? instances - live : 0;
     return part;
 }
 

@@ -27,9 +27,12 @@
  * paper; `estimatedSends` counts those (owner, foreign-reader)
  * register words.
  *
- * Merging provides the same two strategies as the ISA-level
- * partitioner: the communication-aware balanced heuristic (B) and the
- * communication-oblivious LPT baseline (L) of §7.8.1 / Fig. 9.
+ * Merging is the one merger shared with the ISA-level partitioner
+ * (support/merge.hh) — the communication-aware balanced heuristic (B)
+ * or the communication-oblivious LPT baseline (L) of §7.8.1 / Fig. 9
+ * — over nodes weighted by limb count and registers sending their
+ * limb count; this file rebuilds each merged process's registers,
+ * memory writes and effects flag from the groups it returns.
  */
 
 #ifndef MANTICORE_NETLIST_PARTITION_HH
@@ -39,26 +42,16 @@
 #include <vector>
 
 #include "netlist/netlist.hh"
-#include "support/mergealgo.hh"
+#include "support/merge.hh"
 
 namespace manticore::netlist {
 
-struct NetlistPartitionStats
+/** The merge's stats (nodes and limb-weighted costs; sends count
+ *  register-file words written by an owner and read by another
+ *  process, the evaluator's analogue of Table 4's SENDs), plus
+ *  duplication. */
+struct NetlistPartitionStats : merge::Stats
 {
-    /// Split-graph size before merging (the netlist analogue of
-    /// Table 8's |V| and |E|).
-    size_t splitProcesses = 0;
-    size_t splitEdges = 0;
-    /// After merging.
-    size_t mergedProcesses = 0;
-    /// Register-file words written by an owner and read by another
-    /// process (the evaluator's analogue of Table 4's SENDs).
-    size_t estimatedSends = 0;
-    /// Estimated cost (weighted nodes + sends) of the straggler.
-    size_t estimatedMaxCost = 0;
-    /// Sum of per-process costs (the serial work the partition would
-    /// re-execute; estimatedMaxCost/totalCost bounds the speedup).
-    size_t totalCost = 0;
     /// Node instances beyond the netlist's own count (duplication).
     size_t duplicatedNodes = 0;
 };

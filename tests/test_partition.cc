@@ -14,6 +14,8 @@
  *    tests/compiler_partition_hashes.txt.
  *  - On a mismatch either table test writes the whole computed table
  *    next to gtest's temp files and names it in the failure.
+ *  - The shared merger itself on a hand-built problem with weighted
+ *    items and wide values, and on an empty one.
  *  - The sync-aware stopping rule at the executors' calibrated
  *    constants: which large designs run as one process and which keep
  *    their split.
@@ -36,6 +38,7 @@
 #include "netlist/parallel_evaluator.hh"
 #include "netlist/partition.hh"
 #include "support/hashing.hh"
+#include "support/merge.hh"
 
 using namespace manticore;
 using netlist::NetlistPartition;
@@ -161,6 +164,28 @@ class RecordedTable
     size_t _mismatches = 0;
 };
 
+/** Four split processes over items 0-5 (weights 3 2 3 7 4 1) and
+ *  values 0-2 (widths 2 1 3):
+ *
+ *    P0 items {0,1} commits v0 reads v1   cost 5 + 2*2 (P1, P3) = 9
+ *    P1 items {1,2} commits v1 reads v0 v2     5 + 1*1 (P0)     = 6
+ *    P2 items {3}   commits v2                 7 + 3*1 (P1)     = 10
+ *    P3 items {4,5}            reads v0        5                = 5
+ *
+ *  so four split edges (v0 to P1 and P3, v1 to P0, v2 to P1). */
+merge::Problem
+handBuiltProblem()
+{
+    merge::Problem problem;
+    problem.itemWeight = {3, 2, 3, 7, 4, 1};
+    problem.valueWidth = {2, 1, 3};
+    problem.processes = {{{0, 1}, {0}, {1}},
+                         {{1, 2}, {1}, {0, 2}},
+                         {{3}, {2}, {}},
+                         {{4, 5}, {}, {0}}};
+    return problem;
+}
+
 /** Both catalog builds, as ("default" | "large", designs). */
 std::vector<std::pair<std::string, const std::vector<designs::Benchmark> *>>
 catalogs()
@@ -233,6 +258,72 @@ TEST(CompilerPartition, ReproducesEveryRecordedPartition)
                             partitionHash(
                                 compiler::partition(lowered, n, algo)));
         }
+    }
+}
+
+TEST(Merge, HandBuiltProblemUnderBothAlgorithms)
+{
+    const merge::Problem problem = handBuiltProblem();
+    using Items = std::vector<std::vector<uint32_t>>;
+    using Groups = std::vector<int>;
+
+    // Balanced to three: the cheapest, P3 (5), takes the smallest
+    // outsider P1 (items 10 + v1 to P0 = 11) over its neighbour P0
+    // (10 + v0 to P1 = 12).  Merging on (P0 with that pair, 13) would
+    // raise the straggler (P3+P1, 11), so it stops.
+    merge::Result b =
+        merge::mergeProcesses(problem, 3, MergeAlgo::Balanced, 0);
+    EXPECT_EQ(b.items, (Items{{0, 1}, {3}, {1, 2, 4, 5}}));
+    EXPECT_EQ(b.groupOf, (Groups{0, 2, 1, 2}));
+    EXPECT_EQ(b.stats.splitProcesses, 4u);
+    EXPECT_EQ(b.stats.splitEdges, 4u);
+    EXPECT_EQ(b.stats.mergedProcesses, 3u);
+    EXPECT_EQ(b.stats.estimatedSends, 2u + 3u + 1u); // v0, v2, v1
+    EXPECT_EQ(b.stats.estimatedMaxCost, 11u);
+    EXPECT_EQ(b.stats.totalCost, 7u + 10u + 11u);
+
+    // A sync cost of 10 makes one process (20) beat three (11 + 10)
+    // and two (13 + 10).
+    merge::Result one =
+        merge::mergeProcesses(problem, 3, MergeAlgo::Balanced, 10);
+    EXPECT_EQ(one.items, (Items{{0, 1, 2, 3, 4, 5}}));
+    EXPECT_EQ(one.groupOf, (Groups{0, 0, 0, 0}));
+    EXPECT_EQ(one.stats.splitEdges, 4u);
+    EXPECT_EQ(one.stats.mergedProcesses, 1u);
+    EXPECT_EQ(one.stats.estimatedSends, 0u);
+    EXPECT_EQ(one.stats.estimatedMaxCost, 20u);
+    EXPECT_EQ(one.stats.totalCost, 20u);
+
+    // LPT to two, by cost 10 9 6 5: bins P2 and P0; P1 joins P0 (9),
+    // P3 joins P2 (10).  v0 now reaches P3's bin, v2 P1's.
+    merge::Result l = merge::mergeProcesses(problem, 2, MergeAlgo::Lpt, 0);
+    EXPECT_EQ(l.items, (Items{{0, 1, 2}, {3, 4, 5}}));
+    EXPECT_EQ(l.groupOf, (Groups{0, 0, 1, 1}));
+    EXPECT_EQ(l.stats.splitEdges, 4u);
+    EXPECT_EQ(l.stats.mergedProcesses, 2u);
+    EXPECT_EQ(l.stats.estimatedSends, 2u + 3u);
+    EXPECT_EQ(l.stats.estimatedMaxCost, 12u + 3u);
+    EXPECT_EQ(l.stats.totalCost, 8u + 2u + 12u + 3u);
+}
+
+TEST(Merge, NoProcessesMergeToNone)
+{
+    for (MergeAlgo algo : {MergeAlgo::Balanced, MergeAlgo::Lpt}) {
+        SCOPED_TRACE(mergeAlgoName(algo));
+        merge::Result r = merge::mergeProcesses({}, 3, algo, 100);
+        EXPECT_TRUE(r.items.empty());
+        EXPECT_TRUE(r.groupOf.empty());
+        // The netlist partitioner takes the same path for a netlist
+        // with no sinks.
+        netlist::NetlistPartition part =
+            netlist::partitionNetlist(netlist::Netlist("empty"), 3, algo);
+        EXPECT_TRUE(part.processes.empty());
+        for (const merge::Stats &s : {r.stats, merge::Stats(part.stats)})
+            for (size_t v : {s.splitProcesses, s.splitEdges,
+                             s.mergedProcesses, s.estimatedSends,
+                             s.estimatedMaxCost, s.totalCost})
+                EXPECT_EQ(v, 0u);
+        EXPECT_EQ(part.stats.duplicatedNodes, 0u);
     }
 }
 
