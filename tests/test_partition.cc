@@ -82,7 +82,7 @@ partitionHash(const NetlistPartition &part)
 }
 
 /** Every instruction list and the privileged index, in order, then
- *  every stat. */
+ *  the stats the table was recorded with (all but totalCost). */
 uint64_t
 partitionHash(const compiler::Partition &part)
 {
@@ -132,6 +132,8 @@ class RecordedTable
         EXPECT_FALSE(_table.empty()) << "missing " << tablePath(_file);
         _actual << "# " << columns << " <partition hash>\n";
     }
+    RecordedTable(const RecordedTable &) = delete;
+    RecordedTable &operator=(const RecordedTable &) = delete;
 
     void
     check(const std::string &key, uint64_t hash)
