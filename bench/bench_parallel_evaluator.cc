@@ -7,22 +7,25 @@
  * of the sync cost Balanced merging weighs against the straggler.
  *
  * For every design and executor the harness measures the serial
- * engine, the partition-parallel engine held to one process, and a
- * sweep over thread counts of three merges: the engine's own Balanced
- * merge with the executor's sync constant (`balanced`), the
+ * engine, the partition-parallel engine held to one process (which
+ * runs the serial engine, so the two columns differ by noise only),
+ * and a sweep over thread counts of three merges: the engine's own
+ * Balanced merge with the executor's sync constant (`balanced`), the
  * sync-oblivious Balanced stop it starts from (`balanced0`), and the
  * communication-oblivious LPT baseline (Fig. 9 / Table 4).  Each cell
  * is the best of three 0.1 s windows on one engine.  Beside the rate
  * it records the partition: processes, sends, the straggler's cost
  * and the balance bound totalCost/maxCost.
  *
- * Calibration (one Vcycle, one lane): a one-process run gives the time
- * per cost unit u = T(1) / maxCost(1); an LPT run at k = 2 and 3
- * processes gives the sync residual T(k) / u - maxCost(k) in cost
- * units.  The fit is the median over vta, noc, cgra, bc and blur;
- * mm, mc, rv32r and jpeg (the parallel benchmark's designs) are held
- * out and only checked.  The fitted constants are printed next to the
- * compiled-in ParallelCompiledEvaluator::kTapeSyncCost and
+ * Calibration (one Vcycle, one lane): a one-process run, i.e. the
+ * serial step, gives the time per cost unit u = T(1) / maxCost(1); an
+ * LPT run at k = 2 and 3 processes gives the sync residual
+ * T(k) / u - maxCost(k) in cost units: all the Vcycle adds to the
+ * serial step (sends, decision, barrier).  The fit is the median over
+ * vta, noc, cgra, bc and blur; mm, mc, rv32r and jpeg (the parallel
+ * benchmark's designs) are held out and only checked.  The fitted
+ * constants are printed next to the compiled-in
+ * ParallelCompiledEvaluator::kTapeSyncCost and
  * AotParallelEvaluator::kAotSyncCost, which they are meant to set,
  * and the closing table compares, at three threads, the engine's
  * choice against the faster of the sync-oblivious split and one

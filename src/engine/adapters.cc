@@ -209,8 +209,7 @@ uint32_t
 NetlistEngine::capabilities() const
 {
     uint32_t caps = cap::kInputs | cap::kProbes | cap::kDisplayLog;
-    if (dynamic_cast<const netlist::CompiledEvaluator *>(_eval) ||
-        dynamic_cast<const netlist::ParallelCompiledEvaluator *>(_eval))
+    if (dynamic_cast<const netlist::CompiledEvaluator *>(_eval))
         caps |= cap::kBatchedStep;
     if (_eval->lanes() > 1)
         caps |= cap::kEnsemble;
@@ -365,18 +364,10 @@ NetlistEngine::stats() const
             stats.push_back({"lane" + std::to_string(l) + ".cycles",
                              _eval->laneCycle(l)});
     }
-    if (auto *c = dynamic_cast<const netlist::CompiledEvaluator *>(_eval)) {
-        stats.push_back({"tape_length", c->tapeLength()});
-        stats.push_back({"arena_limbs", c->arenaLimbs()});
-        if (auto *a = dynamic_cast<const netlist::AotEvaluator *>(_eval)) {
-            stats.push_back({"aot_active", a->usingAot() ? 1u : 0u});
-            stats.push_back({"aot_cache_hit", a->cacheHit() ? 1u : 0u});
-            stats.push_back(
-                {"aot_compiler_runs", a->compilerInvocations()});
-        }
-    } else if (auto *p =
-                   dynamic_cast<const netlist::ParallelCompiledEvaluator *>(
-                       _eval)) {
+    // The partition-parallel engines are CompiledEvaluators too (one
+    // process runs the serial step), so they are asked first.
+    if (auto *p = dynamic_cast<const netlist::ParallelCompiledEvaluator *>(
+            _eval)) {
         stats.push_back({"tape_length", p->tapeLength()});
         stats.push_back({"arena_limbs", p->arenaLimbs()});
         stats.push_back({"processes", p->numProcesses()});
@@ -389,6 +380,16 @@ NetlistEngine::stats() const
             stats.push_back(
                 {"aot_compiler_runs", pa->compilerInvocations()});
             stats.push_back({"aot_partitions", pa->aotPartitions()});
+        }
+    } else if (auto *c =
+                   dynamic_cast<const netlist::CompiledEvaluator *>(_eval)) {
+        stats.push_back({"tape_length", c->tapeLength()});
+        stats.push_back({"arena_limbs", c->arenaLimbs()});
+        if (auto *a = dynamic_cast<const netlist::AotEvaluator *>(_eval)) {
+            stats.push_back({"aot_active", a->usingAot() ? 1u : 0u});
+            stats.push_back({"aot_cache_hit", a->cacheHit() ? 1u : 0u});
+            stats.push_back(
+                {"aot_compiler_runs", a->compilerInvocations()});
         }
     }
     return stats;

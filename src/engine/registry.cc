@@ -211,8 +211,9 @@ registerEngines()
         {"netlist.parallel",
          "partition-parallel tapes on a persistent worker pool with "
          "one barrier per Vcycle over two arena banks; the merge "
-         "runs fewer processes than threads, down to one, where the "
-         "barrier costs more than the split saves",
+         "runs fewer processes than threads where the barrier costs "
+         "more than the split saves, and one process is the serial "
+         "netlist.compiled step",
          true,
          kNetlistCaps | cap::kBatchedStep | cap::kEnsemble},
         {"netlist.aot",
@@ -228,7 +229,8 @@ registerEngines()
          "AOT-compiled into its own cached object, dispatched inside "
          "the one-barrier Vcycle; the merge prices the barrier in "
          "compiled-code units, so it splits fewer designs than "
-         "netlist.parallel",
+         "netlist.parallel, and one process is netlist.aot with "
+         "netlist.aot's cached object",
          true,
          kNetlistCaps | cap::kBatchedStep | cap::kEnsemble |
              cap::kAotCompiled},

@@ -998,16 +998,18 @@ AotParallelEvaluator::AotParallelEvaluator(Netlist netlist,
     // worker pool — but the workers are parked on the batch
     // generation counter until the first run()/step(), so the
     // construction-time reads below and the fn-pointer installs are
-    // master-owned.
-    const std::vector<tape::MemState> &mems = memStates();
-    _memTable.reserve(mems.size());
-    for (const tape::MemState &m : mems)
+    // master-owned.  One process is the serial tape, emitted exactly
+    // as netlist.aot emits it, so the two engines share its object.
+    _memTable.reserve(_mems.size());
+    for (const tape::MemState &m : _mems)
         _memTable.push_back(m.words.data());
     std::vector<EmitSpec> specs;
     for (size_t p = 0; p < numProcesses(); ++p)
-        specs.push_back({procTape(p).data(), procTape(p).size(), &mems,
-                         paddedLanes(),
-                         "manticore_aot_cycle_p" + std::to_string(p)});
+        specs.push_back({procTape(p).data(), procTape(p).size(), &_mems,
+                         _padded,
+                         serial() ? "manticore_aot_cycle"
+                                  : "manticore_aot_cycle_p" +
+                                        std::to_string(p)});
     _objects.resize(specs.size());
     _compilerRuns = buildObjects("netlist.parallel.aot", specs, options,
                                  _objects.data());
@@ -1030,6 +1032,16 @@ AotParallelEvaluator::partitionObject(size_t proc_index) const
     MANTICORE_ASSERT(proc_index < _objects.size(), "partition ",
                      proc_index, " out of range");
     return _objects[proc_index].path;
+}
+
+void
+AotParallelEvaluator::evalCycle()
+{
+    // Only the one-process engine steps through here.
+    if (_objects[0].fn)
+        _objects[0].fn(_arena.data(), _memTable.data());
+    else
+        CompiledEvaluator::evalCycle();
 }
 
 void

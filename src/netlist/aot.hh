@@ -49,7 +49,11 @@
  * which passes the base of the arena bank the Vcycle computes on (the
  * two banks share one layout, so one object serves both) — workers
  * run straight-line compiled code inside the base class's one-barrier
- * Vcycle, with the send/barrier protocol untouched.
+ * Vcycle, with the send/barrier protocol untouched.  When the merge
+ * picks one process the engine is the serial one, and its object is
+ * netlist.aot's: the serial tape emitted as manticore_aot_cycle at the
+ * same lane width, dispatched behind evalCycle().  The two engines
+ * then have one cache key and share one cached object.
  *
  * **One builder.**  Both engines build their objects through the
  * same path: emit an object's canonical unit, hash it into a key,
@@ -247,7 +251,9 @@ class AotEvaluator : public CompiledEvaluator
  *  partitions exactly like the base class (the worker pool is
  *  already parked when the derived constructor runs), then builds
  *  one object per partition tape and installs each object's
- *  manticore_aot_cycle_p<K> behind the computeTape() hook.
+ *  manticore_aot_cycle_p<K> behind the computeTape() hook.  One
+ *  process builds AotEvaluator's object instead (the same source,
+ *  so the same cache key) and runs it behind evalCycle().
  *  Partitions whose object cannot be built or loaded fall back to the
  *  interpreted tape individually; the rendezvous protocol, commits
  *  and effects are inherited untouched, so determinism across thread
@@ -301,6 +307,7 @@ class AotParallelEvaluator : public ParallelCompiledEvaluator
     AotParallelEvaluator(Netlist netlist, const EvalOptions &options,
                          size_t sync_cost);
 
+    void evalCycle() override; ///< one process: netlist.aot's object
     void computeTape(size_t proc_index, uint64_t *A) override;
 
   private:

@@ -12,6 +12,13 @@ namespace lo = ::manticore::limbops;
 
 CompiledEvaluator::CompiledEvaluator(Netlist netlist,
                                      const EvalOptions &options)
+    : CompiledEvaluator(std::move(netlist), options, Unlowered{})
+{
+    compile();
+}
+
+CompiledEvaluator::CompiledEvaluator(Netlist netlist,
+                                     const EvalOptions &options, Unlowered)
     : _netlist(std::move(netlist)), _lanes(options.lanes),
       _padded(exec::paddedLaneCount(options.lanes)), _arena(_padded)
 {
@@ -21,7 +28,6 @@ CompiledEvaluator::CompiledEvaluator(Netlist netlist,
     _lane.resize(_lanes);
     _laneCommit.assign(_lanes, 0);
     _laneFinish.assign(_lanes, 0);
-    compile();
 }
 
 void
@@ -348,12 +354,19 @@ CompiledEvaluator::setInput(const std::string &name, const BitVector &value)
 }
 
 void
-CompiledEvaluator::driveInput(NodeId input, const BitVector &value)
+CompiledEvaluator::checkDriveTarget(NodeId input,
+                                    const BitVector &value) const
 {
     MANTICORE_ASSERT(input < _netlist.numNodes() &&
                          _netlist.node(input).kind == OpKind::Input &&
                          _netlist.node(input).width == value.width(),
                      "bad driveInput target");
+}
+
+void
+CompiledEvaluator::driveInput(NodeId input, const BitVector &value)
+{
+    checkDriveTarget(input, value);
     _arena.broadcast(_slotOf[input], value);
 }
 
@@ -361,10 +374,7 @@ void
 CompiledEvaluator::driveInputLane(unsigned lane, NodeId input,
                                   const BitVector &value)
 {
-    MANTICORE_ASSERT(input < _netlist.numNodes() &&
-                         _netlist.node(input).kind == OpKind::Input &&
-                         _netlist.node(input).width == value.width(),
-                     "bad driveInput target");
+    checkDriveTarget(input, value);
     _arena.write(_slotOf[input], lane, value);
 }
 
@@ -435,7 +445,8 @@ CompiledEvaluator::memValueLane(unsigned lane, MemId id,
 BitVector
 CompiledEvaluator::nodeValue(NodeId id, unsigned lane) const
 {
-    MANTICORE_ASSERT(id < _netlist.numNodes() && lane < _lanes,
+    // _slotOf is empty when a subclass runs its own executor.
+    MANTICORE_ASSERT(id < _slotOf.size() && lane < _lanes,
                      "bad node id / lane");
     return _arena.read(_slotOf[id], _netlist.node(id).width, lane);
 }

@@ -34,7 +34,8 @@
  *
  * See src/netlist/README.md for the layout and the measured speedup
  * over the reference Evaluator.  The partition-parallel variant of
- * this engine lives in parallel_evaluator.hh.
+ * this engine (parallel_evaluator.hh) derives from it and runs it as
+ * is when the merge picks one process.
  */
 
 #ifndef MANTICORE_NETLIST_COMPILED_EVALUATOR_HH
@@ -121,6 +122,21 @@ class CompiledEvaluator : public EvaluatorBase
     void snapshotRestored() override;
 
   protected:
+    /** Tag for the constructor below. */
+    struct Unlowered
+    {
+    };
+    /** Copies and validates the netlist and sets up the lane state,
+     *  but does not lower: the subclass calls compile() or builds its
+     *  own executor (ParallelCompiledEvaluator with several
+     *  processes). */
+    CompiledEvaluator(Netlist netlist, const EvalOptions &options,
+                      Unlowered);
+
+    /** driveInput / driveInputLane's check: `input` names an Input
+     *  node of the value's width. */
+    void checkDriveTarget(NodeId input, const BitVector &value) const;
+
     const Netlist &snapshotNetlist() const override { return _netlist; }
     BitVector inputValueLane(unsigned lane, NodeId input) const override;
     void restoreReg(unsigned lane, RegId id,
@@ -134,9 +150,10 @@ class CompiledEvaluator : public EvaluatorBase
     /** Evaluate the combinational tape for one cycle (every _padded
      *  lane) — the ONLY hot-loop hook a subclass may replace.  The
      *  default runs the interpreted tape (tape::run, which folds to
-     *  the scalar executor at one lane); AotEvaluator (aot.hh) swaps
-     *  in a dlopen'd straight-line cycle function emitted at the
-     *  padded lane width.  Effects, commits and lane bookkeeping
+     *  the scalar executor at one lane); AotEvaluator (aot.hh), and
+     *  AotParallelEvaluator with one process, swap in a dlopen'd
+     *  straight-line cycle function emitted at the padded lane
+     *  width.  Effects, commits and lane bookkeeping
      *  stay in this class so an executor swap cannot drift
      *  semantically. */
     virtual void evalCycle();

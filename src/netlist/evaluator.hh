@@ -199,12 +199,12 @@ struct EvalOptions
     /// pool (processes - 1 workers; the caller runs process 0); 0
     /// means std::thread::hardware_concurrency().  LPT packs exactly
     /// min(numThreads, seeds) processes.  Balanced may run fewer,
-    /// down to one process with no worker and no barrier: it weighs
-    /// the Vcycle's fixed sync cost against the straggler
-    /// (partition.hh), with one calibrated constant per executor
-    /// (ParallelCompiledEvaluator::kTapeSyncCost,
+    /// down to one process: it weighs the Vcycle's fixed sync cost
+    /// against the straggler (partition.hh), with one calibrated
+    /// constant per executor (ParallelCompiledEvaluator::kTapeSyncCost,
     /// AotParallelEvaluator::kAotSyncCost) divided by the padded lane
-    /// count.
+    /// count.  One process is the serial engine (netlist.compiled, or
+    /// netlist.aot with its object): no worker, no barrier.
     unsigned numThreads = 0;
     /// Partition merge strategy (§6.1 / Fig. 9): the paper's
     /// communication-aware Balanced heuristic or the LPT baseline.

@@ -67,24 +67,28 @@ ParallelCompiledEvaluator::ParallelCompiledEvaluator(
 
 ParallelCompiledEvaluator::ParallelCompiledEvaluator(
     Netlist netlist, const EvalOptions &options, size_t sync_cost)
-    : _netlist(std::move(netlist)), _lanes(options.lanes),
-      _padded(exec::paddedLaneCount(options.lanes)),
+    : CompiledEvaluator(std::move(netlist), options, Unlowered{}),
       _bank{exec::Arena(_padded), exec::Arena(_padded)},
       _waitPolicy(options.waitPolicy)
 {
-    MANTICORE_ASSERT(_lanes >= 1, "ensemble needs at least one lane");
-    _netlist.validate();
     unsigned hw = std::thread::hardware_concurrency();
     _numThreads = options.numThreads != 0 ? options.numThreads
                                           : std::max(1u, hw);
-    _active = _lanes;
-    _lane.resize(_lanes);
+    NetlistPartition part = partitionNetlist(
+        _netlist, _numThreads, options.mergeAlgo, sync_cost / _padded);
+    _stats = part.stats;
+    if (part.processes.size() <= 1) {
+        // Nothing to synchronise: the serial engine's lowering and
+        // step are the whole engine.
+        compile();
+        return;
+    }
     for (Decision *d : {&_start, &_decision[0], &_decision[1]}) {
         d->commit.assign(_lanes, 0);
         d->finish.assign(_lanes, 0);
     }
     _frozenBank.assign(_lanes, 0);
-    compile(options.mergeAlgo, sync_cost);
+    compileProcesses(part);
     for (size_t p = 1; p < _procs.size(); ++p)
         _pool.emplace_back([this, p] { workerLoop(p); });
 }
@@ -101,11 +105,8 @@ ParallelCompiledEvaluator::~ParallelCompiledEvaluator()
 }
 
 void
-ParallelCompiledEvaluator::compile(MergeAlgo algo, size_t sync_cost)
+ParallelCompiledEvaluator::compileProcesses(NetlistPartition &part)
 {
-    NetlistPartition part =
-        partitionNetlist(_netlist, _numThreads, algo, sync_cost / _padded);
-    _stats = part.stats;
     _mems = tape::buildMemStates(_netlist, _padded);
 
     // The master runs process 0, so the effects process goes there:
@@ -226,8 +227,7 @@ ParallelCompiledEvaluator::compile(MergeAlgo algo, size_t sync_cost)
                         !_netlist.displays().empty() ||
                         !_netlist.finishes().empty();
     if (have_effects) {
-        MANTICORE_ASSERT(!part.processes.empty() &&
-                             part.processes[0].effects,
+        MANTICORE_ASSERT(part.processes[0].effects,
                          "effects cone unassigned");
         _effects = tape::Effects::compile(
             _netlist, [&](NodeId id) -> uint32_t {
@@ -405,26 +405,11 @@ ParallelCompiledEvaluator::workerLoop(size_t proc_index)
     }
 }
 
-void
-ParallelCompiledEvaluator::recountActive()
-{
-    unsigned active = 0;
-    for (unsigned l = 0; l < _lanes; ++l)
-        if (_lane[l].status == SimStatus::Ok)
-            ++active;
-    _active = active;
-}
-
-SimStatus
-ParallelCompiledEvaluator::step()
-{
-    return runBatch(1);
-}
-
 SimStatus
 ParallelCompiledEvaluator::run(uint64_t max_cycles)
 {
-    return runBatch(max_cycles);
+    return serial() ? CompiledEvaluator::run(max_cycles)
+                    : runBatch(max_cycles);
 }
 
 SimStatus
@@ -453,8 +438,7 @@ ParallelCompiledEvaluator::runBatch(uint64_t max_cycles)
     tape::Effects::FireResult fired;
     for (uint64_t left = max_cycles;; --left) {
         Decision &d = _decision[_seq++ & 1];
-        if (!_procs.empty())
-            computeAndSend(0, bank[cur], bank[cur ^ 1], *active);
+        computeAndSend(0, bank[cur], bank[cur ^ 1], *active);
         fired = decide(d, bank[cur], left);
         arrive(target += participants);
 
@@ -483,8 +467,7 @@ ParallelCompiledEvaluator::runBatch(uint64_t max_cycles)
                 applyWrites(proc, bank[cur], d);
             break;
         }
-        if (!_procs.empty())
-            applyWrites(_procs[0], bank[cur], d);
+        applyWrites(_procs[0], bank[cur], d);
         active = &d;
         cur ^= 1;
     }
@@ -513,19 +496,11 @@ ParallelCompiledEvaluator::runBatch(uint64_t max_cycles)
 }
 
 void
-ParallelCompiledEvaluator::setInput(const std::string &name,
-                                    const BitVector &value)
-{
-    driveInput(resolveInput(_netlist, name, value), value);
-}
-
-void
 ParallelCompiledEvaluator::driveInput(NodeId input, const BitVector &value)
 {
-    MANTICORE_ASSERT(input < _netlist.numNodes() &&
-                         _netlist.node(input).kind == OpKind::Input &&
-                         _netlist.node(input).width == value.width(),
-                     "bad driveInput target");
+    if (serial())
+        return CompiledEvaluator::driveInput(input, value);
+    checkDriveTarget(input, value);
     for (exec::Arena &bank : _bank)
         bank.broadcast(_sourceSlot[input], value);
 }
@@ -534,81 +509,26 @@ void
 ParallelCompiledEvaluator::driveInputLane(unsigned lane, NodeId input,
                                           const BitVector &value)
 {
-    MANTICORE_ASSERT(input < _netlist.numNodes() &&
-                         _netlist.node(input).kind == OpKind::Input &&
-                         _netlist.node(input).width == value.width(),
-                     "bad driveInput target");
+    if (serial())
+        return CompiledEvaluator::driveInputLane(lane, input, value);
+    checkDriveTarget(input, value);
     for (exec::Arena &bank : _bank)
         bank.write(_sourceSlot[input], lane, value);
-}
-
-SimStatus
-ParallelCompiledEvaluator::laneStatus(unsigned lane) const
-{
-    MANTICORE_ASSERT(lane < _lanes, "bad lane ", lane);
-    return _lane[lane].status;
-}
-
-uint64_t
-ParallelCompiledEvaluator::laneCycle(unsigned lane) const
-{
-    MANTICORE_ASSERT(lane < _lanes, "bad lane ", lane);
-    return _lane[lane].cycle;
-}
-
-const std::string &
-ParallelCompiledEvaluator::laneFailureMessage(unsigned lane) const
-{
-    MANTICORE_ASSERT(lane < _lanes, "bad lane ", lane);
-    return _lane[lane].failureMessage;
-}
-
-const std::vector<std::string> &
-ParallelCompiledEvaluator::laneDisplayLog(unsigned lane) const
-{
-    MANTICORE_ASSERT(lane < _lanes, "bad lane ", lane);
-    return _lane[lane].displayLog;
-}
-
-BitVector
-ParallelCompiledEvaluator::regValue(RegId id) const
-{
-    return regValueLane(0, id);
 }
 
 BitVector
 ParallelCompiledEvaluator::regValueLane(unsigned lane, RegId id) const
 {
+    if (serial())
+        return CompiledEvaluator::regValueLane(lane, id);
     MANTICORE_ASSERT(id < _netlist.numRegisters(), "bad register id");
     return _bank[0].read(_regSlot[id], _netlist.reg(id).width, lane);
-}
-
-BitVector
-ParallelCompiledEvaluator::regValue(const std::string &name) const
-{
-    return regValue(resolveRegister(_netlist, name));
-}
-
-BitVector
-ParallelCompiledEvaluator::memValue(MemId id, uint64_t addr) const
-{
-    return memValueLane(0, id, addr);
-}
-
-BitVector
-ParallelCompiledEvaluator::memValueLane(unsigned lane, MemId id,
-                                        uint64_t addr) const
-{
-    MANTICORE_ASSERT(id < _mems.size() && addr < _mems[id].depth &&
-                         lane < _lanes,
-                     "memValue out of range");
-    return _mems[id].value(addr, lane);
 }
 
 size_t
 ParallelCompiledEvaluator::tapeLength() const
 {
-    size_t n = 0;
+    size_t n = _tape.size(); // the serial tape; empty with processes
     for (const Proc &p : _procs)
         n += p.tape.size();
     return n;
@@ -618,12 +538,15 @@ ParallelCompiledEvaluator::tapeLength() const
 // All called from the master thread between step()/run() calls, when
 // the workers are parked on _computeGen: both banks, the memory
 // images and lane state are master-owned at that point, and bank 0
-// is canonical.
+// is canonical.  The memory words and lane state are restored by the
+// base class.
 
 BitVector
 ParallelCompiledEvaluator::inputValueLane(unsigned lane,
                                           NodeId input) const
 {
+    if (serial())
+        return CompiledEvaluator::inputValueLane(lane, input);
     return _bank[0].read(_sourceSlot[input], _netlist.node(input).width,
                          lane);
 }
@@ -632,46 +555,12 @@ void
 ParallelCompiledEvaluator::restoreReg(unsigned lane, RegId id,
                                       const BitVector &value)
 {
+    if (serial())
+        return CompiledEvaluator::restoreReg(lane, id, value);
     // Both banks, so a restored frozen lane is mirrored like any
     // other frozen lane.
     for (exec::Arena &bank : _bank)
         bank.write(_regSlot[id], lane, value);
-}
-
-void
-ParallelCompiledEvaluator::restoreMemWord(unsigned lane, MemId id,
-                                          uint64_t addr,
-                                          const BitVector &value)
-{
-    tape::MemState &ms = _mems[id];
-    uint64_t *dst = ms.word(addr, lane);
-    const std::vector<uint64_t> &limbs = value.limbs();
-    for (unsigned i = 0; i < ms.wordLimbs; ++i)
-        dst[i] = i < limbs.size() ? limbs[i] : 0;
-}
-
-void
-ParallelCompiledEvaluator::restoreLaneMeta(unsigned lane, uint64_t cycle,
-                                           SimStatus status,
-                                           std::string failure,
-                                           std::vector<std::string> log)
-{
-    LaneState &ls = _lane[lane];
-    ls.cycle = cycle;
-    ls.status = status;
-    ls.failureMessage = std::move(failure);
-    ls.displayLog = std::move(log);
-    ls.logMark = ls.displayLog.size();
-}
-
-void
-ParallelCompiledEvaluator::snapshotRestored()
-{
-    recountActive();
-    uint64_t cycle = 0;
-    for (const LaneState &ls : _lane)
-        cycle = std::max(cycle, ls.cycle);
-    _cycle = cycle;
 }
 
 } // namespace manticore::netlist

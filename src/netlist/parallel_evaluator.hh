@@ -41,6 +41,14 @@
  * waits: Spin (lowest latency) or Block (condition variable — idle
  * partitions release their core on oversubscribed hosts).
  *
+ * One process is the serial engine.  The Balanced merge runs one
+ * process where the barrier would cost more than the split saves, as
+ * does any merge at numThreads == 1.  The class derives from
+ * CompiledEvaluator, and with one process that base is the whole
+ * engine: its tape, its arena with the one-copy register commit, its
+ * step and its effects, with no banks, no worker and no barrier.  Only
+ * the accessors that touch the banks branch on the process count.
+ *
  * The engine is cycle-exact with the reference Evaluator per lane
  * (including side-effect ordering and pre-commit snapshot semantics)
  * and deterministic across runs, thread counts and wait policies.
@@ -59,6 +67,7 @@
 
 #include "exec/arena.hh"
 #include "exec/padding.hh"
+#include "netlist/compiled_evaluator.hh"
 #include "netlist/evaluator.hh"
 #include "netlist/netlist.hh"
 #include "netlist/partition.hh"
@@ -66,7 +75,7 @@
 
 namespace manticore::netlist {
 
-class ParallelCompiledEvaluator : public EvaluatorBase
+class ParallelCompiledEvaluator : public CompiledEvaluator
 {
   public:
     /** The Vcycle's fixed sync cost on the interpreted tape, in
@@ -87,9 +96,10 @@ class ParallelCompiledEvaluator : public EvaluatorBase
     /** Keeps its own copy of the netlist (cold data only).  options
      *  bounds the worker-pool size and the partition count (0 =
      *  hardware concurrency; Balanced may run fewer processes, down
-     *  to one with no worker, where the sync outweighs the split),
-     *  picks the merge strategy, the ensemble width and the
-     *  rendezvous wait policy. */
+     *  to one, where the sync outweighs the split), picks the merge
+     *  strategy, the ensemble width and the rendezvous wait policy.
+     *  A partition of one process is lowered and stepped as the
+     *  serial CompiledEvaluator: no banks, no worker, no barrier. */
     explicit ParallelCompiledEvaluator(Netlist netlist,
                                        const EvalOptions &options = {});
     ~ParallelCompiledEvaluator() override;
@@ -98,73 +108,46 @@ class ParallelCompiledEvaluator : public EvaluatorBase
     ParallelCompiledEvaluator &
     operator=(const ParallelCompiledEvaluator &) = delete;
 
-    void setInput(const std::string &name, const BitVector &value) override;
     void driveInput(NodeId input, const BitVector &value) override;
-    SimStatus step() override;
+    SimStatus step() override { return run(1); }
     /** Batched stepping: the whole batch runs as ONE worker-pool
      *  command, so the pool pays one wake-up per batch and one
      *  barrier per cycle (see the protocol notes above workerLoop).
      *  Cycle-exact with a step() loop, including side-effect order
      *  and the no-commit-after-failed-assert rule; an ensemble batch
-     *  runs until every lane is terminal or the batch ends. */
+     *  runs until every lane is terminal or the batch ends.  One
+     *  process runs CompiledEvaluator::run. */
     SimStatus run(uint64_t max_cycles) override;
 
-    /** Completed cycles of the most-advanced lane. */
-    uint64_t cycle() const override { return _cycle; }
-    SimStatus status() const override { return _lane[0].status; }
-    const std::string &failureMessage() const override
-    {
-        return _lane[0].failureMessage;
-    }
-
-    BitVector regValue(RegId id) const override;
-    BitVector regValue(const std::string &name) const override;
-    BitVector memValue(MemId id, uint64_t addr) const override;
-
-    // Ensemble views (lane 0 == the scalar API).
-    unsigned lanes() const override { return _lanes; }
     void driveInputLane(unsigned lane, NodeId input,
                         const BitVector &value) override;
-    SimStatus laneStatus(unsigned lane) const override;
-    uint64_t laneCycle(unsigned lane) const override;
-    const std::string &laneFailureMessage(unsigned lane) const override;
-    const std::vector<std::string> &
-    laneDisplayLog(unsigned lane) const override;
     BitVector regValueLane(unsigned lane, RegId id) const override;
-    BitVector memValueLane(unsigned lane, MemId id,
-                           uint64_t addr) const override;
-
-    const std::vector<std::string> &displayLog() const override
-    {
-        return _lane[0].displayLog;
-    }
-
-    bool snapshotSupported() const override { return true; }
-    /** Recount active lanes and recompute the engine-level cycle.
-     *  Safe from the master thread: workers are parked between
-     *  step()/run() calls, so the arena and lane state are
-     *  master-owned here. */
-    void snapshotRestored() override;
 
     /** Introspection for tests and benches. */
-    size_t numProcesses() const { return _procs.size(); }
+    size_t numProcesses() const { return serial() ? 1 : _procs.size(); }
     unsigned numThreads() const { return _numThreads; }
     /** Threads this evaluator actually OWNS (spawned pool workers —
      *  the master runs process 0 inline, so this is
      *  numProcesses()-1: at most numThreads()-1, and 0 when
-     *  numThreads == 1 or the merge chose one process).  The
-     *  multi-tenant service relies on the zero-owned-threads mode:
-     *  with EvalOptions::numThreads = 1 every cycle executes
-     *  entirely on the calling thread, i.e. on whatever scheduler
-     *  worker borrowed the session (see src/service/scheduler.hh). */
+     *  numThreads == 1 or the merge chose one process, which runs
+     *  the serial engine).  The multi-tenant service relies on the
+     *  zero-owned-threads mode: with EvalOptions::numThreads = 1
+     *  every cycle executes entirely on the calling thread, i.e. on
+     *  whatever scheduler worker borrowed the session (see
+     *  src/service/scheduler.hh). */
     size_t ownedThreads() const { return _pool.size(); }
     WaitPolicy waitPolicy() const { return _waitPolicy; }
     const NetlistPartitionStats &partitionStats() const { return _stats; }
     size_t tapeLength() const; ///< total instructions across processes
     /// Instructions in process p's tape.
-    size_t processTapeLength(size_t p) const { return _procs[p].tape.size(); }
-    size_t arenaLimbs() const { return _bank[0].limbs(); } ///< per bank
-    /** Base of arena bank b (0 = the canonical one between calls). */
+    size_t processTapeLength(size_t p) const { return procTape(p).size(); }
+    /// Per bank (one process: CompiledEvaluator's single arena).
+    size_t arenaLimbs() const
+    {
+        return serial() ? _arena.limbs() : _bank[0].limbs();
+    }
+    /** Base of arena bank b (0 = the canonical one between calls);
+     *  several processes only. */
     const uint64_t *bankData(unsigned b) const { return _bank[b].data(); }
 
   protected:
@@ -173,23 +156,18 @@ class ParallelCompiledEvaluator : public EvaluatorBase
     ParallelCompiledEvaluator(Netlist netlist, const EvalOptions &options,
                               size_t sync_cost);
 
-    const Netlist &snapshotNetlist() const override { return _netlist; }
     BitVector inputValueLane(unsigned lane, NodeId input) const override;
     void restoreReg(unsigned lane, RegId id,
                     const BitVector &value) override;
-    void restoreMemWord(unsigned lane, MemId id, uint64_t addr,
-                        const BitVector &value) override;
-    void restoreLaneMeta(unsigned lane, uint64_t cycle, SimStatus status,
-                         std::string failure,
-                         std::vector<std::string> log) override;
 
     /** Evaluate one process's combinational tape for one cycle
      *  (every _padded lane) against the arena bank based at A — the
-     *  ONLY hot-loop hook a subclass may replace, the partition-
-     *  parallel analogue of CompiledEvaluator::evalCycle().  The
-     *  default runs the interpreted tape; AotParallelEvaluator
-     *  (aot.hh) dispatches a per-partition dlopen'd cycle function.
-     *  Both banks share one layout, so the same code runs on either.
+     *  ONLY hot-loop hook of the Vcycle a subclass may replace, the
+     *  partition-parallel analogue of CompiledEvaluator::evalCycle()
+     *  (which the one-process engine runs instead).  The default
+     *  runs the interpreted tape; AotParallelEvaluator (aot.hh)
+     *  dispatches a per-partition dlopen'd cycle function.  Both
+     *  banks share one layout, so the same code runs on either.
      *  Called concurrently from the worker pool (and from the master
      *  for process 0), so an override must only read shared state and
      *  write the process's private region of A — exactly what the
@@ -198,15 +176,17 @@ class ParallelCompiledEvaluator : public EvaluatorBase
      *  drift semantically or break the protocol. */
     virtual void computeTape(size_t proc_index, uint64_t *A);
 
-    // Read-only introspection for the AOT subclass's per-partition
-    // codegen (workers are parked between step()/run() calls, so
-    // construction-time reads are master-owned).
+    /** The merge picked one process: the serial CompiledEvaluator's
+     *  state and step are live, the banks and the pool are empty. */
+    bool serial() const { return _procs.empty(); }
+    /** Process p's tape (one process: the serial tape).  Read-only
+     *  introspection for the AOT subclass's per-partition codegen
+     *  (workers are parked between step()/run() calls, so
+     *  construction-time reads are master-owned). */
     const std::vector<tape::Instr> &procTape(size_t p) const
     {
-        return _procs[p].tape;
+        return serial() ? _tape : _procs[p].tape;
     }
-    const std::vector<tape::MemState> &memStates() const { return _mems; }
-    unsigned paddedLanes() const { return _padded; }
 
   private:
     /** Pre-barrier copy of a shared (RegRead) memory-write operand
@@ -256,7 +236,8 @@ class ParallelCompiledEvaluator : public EvaluatorBase
         std::vector<uint8_t> finish; ///< per lane: $finish fired
     };
 
-    void compile(MergeAlgo algo, size_t sync_cost);
+    /** Lower each process of `part` (two or more) over the banks. */
+    void compileProcesses(NetlistPartition &part);
     /** Compute process p on bank A, stage its memory-write operands
      *  and send its registers' next values into bank next, for the
      *  lanes `active` says are live in this Vcycle. */
@@ -275,7 +256,6 @@ class ParallelCompiledEvaluator : public EvaluatorBase
     void arrive(uint64_t target);
     void workerLoop(size_t proc_index);
     SimStatus runBatch(uint64_t max_cycles);
-    void recountActive();
 
     // Rendezvous waits honouring the configured WaitPolicy: Spin
     // spins with periodic yields; Block parks on _waitCv after a
@@ -333,14 +313,10 @@ class ParallelCompiledEvaluator : public EvaluatorBase
                           uint64_t target) const;
     void wakeBlocked() const;
 
-    Netlist _netlist; ///< cold copy for name/width lookups only
-
-    // Requested vs padded ensemble width: the arena, memory images
-    // and tape execution run _padded lanes (see exec/padding.hh);
-    // effects, commits, stats and snapshots see only _lanes, so the
-    // padded lanes stay frozen at init and invisible.
-    unsigned _lanes;
-    unsigned _padded;
+    // The netlist copy, the lane counts (_lanes requested, _padded
+    // run; the Vcycle never writes a padded lane), the memory images,
+    // the effects and the lane state are the base class's; with
+    // several processes its arena and tape stay empty.
     /// The two banks, one layout.  Constants and inputs are mirrored
     /// in both; between calls bank 0 holds every lane's registers,
     /// and a frozen lane's registers are mirrored in both banks (no
@@ -348,9 +324,8 @@ class ParallelCompiledEvaluator : public EvaluatorBase
     exec::Arena _bank[2];
     std::vector<uint32_t> _sourceSlot; ///< node id -> slot (Const/Input)
     std::vector<uint32_t> _regSlot;    ///< reg id -> register-file slot
-    std::vector<tape::MemState> _mems;
-    std::vector<Proc> _procs; ///< [0] holds the effects, if any
-    tape::Effects _effects;
+    /// [0] holds the effects, if any; empty for one process.
+    std::vector<Proc> _procs;
     NetlistPartitionStats _stats;
     unsigned _numThreads = 1;
     WaitPolicy _waitPolicy = WaitPolicy::Spin;
@@ -378,12 +353,8 @@ class ParallelCompiledEvaluator : public EvaluatorBase
     mutable std::condition_variable _waitCv;
     std::vector<std::thread> _pool;
 
-    // Master-only run state; _cycle is the engine-level (max-lane)
-    // view.
+    // Master-only run state (the per-lane state is the base class's).
     alignas(exec::kCacheLine) uint64_t _seq = 0; ///< Vcycles run, ever
-    uint64_t _cycle = 0;
-    unsigned _active; ///< lanes not yet finished/failed
-    std::vector<LaneState> _lane;
     std::vector<uint8_t> _frozenBank; ///< bank a lane froze in (master)
 };
 

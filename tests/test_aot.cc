@@ -26,6 +26,8 @@
 #include <utility>
 #include <vector>
 
+#include <unistd.h>
+
 #include "designs/designs.hh"
 #include "engine/registry.hh"
 #include "netlist/aot.hh"
@@ -54,13 +56,37 @@ hostHasToolchain()
     return netlist::aotToolchain().ok;
 }
 
-/** Per-test cache directory under gtest's temp dir, so tests never
- *  see each other's (or a previous run's) objects — the path is
- *  stable across runs, so any leftover contents are wiped here. */
+/** This process's scratch root under gtest's temp dir: it names the
+ *  process, so two suites running at once (the sanitizer builds side
+ *  by side) never touch each other's objects. */
+std::string
+scratchRoot()
+{
+    return ::testing::TempDir() + "manticore-aot-test-" +
+           std::to_string(::getpid());
+}
+
+/** Removes the scratch root after the last test. */
+class RemoveScratchRoot : public ::testing::Environment
+{
+  public:
+    void
+    TearDown() override
+    {
+        std::error_code ec;
+        std::filesystem::remove_all(scratchRoot(), ec);
+    }
+};
+
+const ::testing::Environment *const kRemoveScratchRoot =
+    ::testing::AddGlobalTestEnvironment(new RemoveScratchRoot);
+
+/** Per-test cache directory, so tests never see each other's (or a
+ *  previous run's) objects: any leftover contents are wiped here. */
 std::string
 freshCacheDir(const std::string &tag)
 {
-    std::string dir = ::testing::TempDir() + "manticore-aot-test-" + tag;
+    std::string dir = scratchRoot() + "/" + tag;
     std::error_code ec;
     std::filesystem::remove_all(dir, ec);
     return dir;

@@ -11,8 +11,10 @@
  * half checks determinism across thread (and hence partition)
  * counts, the per-partition object-cache protocol (warm hit, one
  * corrupted object rebuilds exactly one object), the graceful
- * per-partition fallback when no toolchain works, and the strict
- * registry path that refuses instead.  Labelled "aot" in CMake so both
+ * per-partition fallback when no toolchain works, the strict
+ * registry path that refuses instead, and the one-process engine:
+ * the serial engine with netlist.aot's object, which the two engines
+ * share through the cache.  Labelled "aot" in CMake so both
  * sanitized configs run it.
  */
 
@@ -24,12 +26,15 @@
 #include <unordered_map>
 #include <vector>
 
+#include <unistd.h>
+
 #include "designs/designs.hh"
 #include "engine/crosscheck.hh"
 #include "engine/registry.hh"
 #include "netlist/aot.hh"
 #include "netlist/builder.hh"
 #include "netlist/compiled_evaluator.hh"
+#include "one_process.hh"
 #include "random_circuit.hh"
 
 using namespace manticore;
@@ -53,13 +58,34 @@ hostHasToolchain()
     return netlist::aotToolchain().ok;
 }
 
-/** Per-test cache directory under gtest's temp dir (stable across
- *  runs, wiped here) — same convention as test_aot.cc. */
+/** This process's scratch root under gtest's temp dir, removed after
+ *  the last test — same convention as test_aot.cc. */
+std::string
+scratchRoot()
+{
+    return ::testing::TempDir() + "manticore-aot-par-test-" +
+           std::to_string(::getpid());
+}
+
+class RemoveScratchRoot : public ::testing::Environment
+{
+  public:
+    void
+    TearDown() override
+    {
+        std::error_code ec;
+        std::filesystem::remove_all(scratchRoot(), ec);
+    }
+};
+
+const ::testing::Environment *const kRemoveScratchRoot =
+    ::testing::AddGlobalTestEnvironment(new RemoveScratchRoot);
+
+/** Per-test cache directory (wiped here). */
 std::string
 freshCacheDir(const std::string &tag)
 {
-    std::string dir =
-        ::testing::TempDir() + "manticore-aot-par-test-" + tag;
+    std::string dir = scratchRoot() + "/" + tag;
     std::error_code ec;
     std::filesystem::remove_all(dir, ec);
     return dir;
@@ -330,6 +356,57 @@ TEST(AotParallelEvaluator, CorruptedPartitionObjectRebuildsOnlyItself)
 
     CompiledEvaluator tape(nl);
     runLockstep(nl, tape, rebuilt, {}, 11, 48);
+}
+
+TEST(AotParallelEvaluator, OneProcessRunsTheSerialEngine)
+{
+    if (!hostHasToolchain())
+        GTEST_SKIP() << netlist::aotToolchain().message;
+    // The large designs Balanced runs as one process at 3 threads
+    // with compiled partitions.  At 7 lanes (8 padded) the sync
+    // weighs an eighth per lane, and noc, cgra and bc split.
+    struct Case
+    {
+        const char *design;
+        unsigned lanes;
+    };
+    std::string cache = freshCacheDir("one-process");
+    for (Case c : {Case{"jpeg", 1}, Case{"vta", 1}, Case{"blur", 1},
+                   Case{"noc", 1}, Case{"cgra", 1}, Case{"bc", 1},
+                   Case{"jpeg", 7}, Case{"vta", 7}, Case{"blur", 7}}) {
+        SCOPED_TRACE(std::string(c.design) + " lanes " +
+                     std::to_string(c.lanes));
+        Netlist nl = manticore::testing::largeDesign(c.design);
+        EvalOptions options = parallelAotOptions(cache);
+        options.lanes = c.lanes;
+        AotParallelEvaluator aot(nl, options);
+        manticore::testing::expectSerialShape(aot, nl, options);
+        ASSERT_TRUE(aot.usingAot()) << "fell back to the interpreter";
+        EXPECT_EQ(aot.aotPartitions(), 1u);
+        manticore::testing::expectLanesMatchReference(nl, aot, 4096);
+        EXPECT_EQ(aot.status(), SimStatus::Finished);
+    }
+}
+
+TEST(AotParallelEvaluator, OneProcessLoadsTheSerialEnginesObject)
+{
+    if (!hostHasToolchain())
+        GTEST_SKIP() << netlist::aotToolchain().message;
+    // One process emits the serial tape as netlist.aot does, so a
+    // cache netlist.aot filled serves it without a compile.
+    std::string cache = freshCacheDir("shared");
+    Netlist nl = manticore::testing::largeDesign("jpeg");
+    netlist::AotEvaluator serial(nl, parallelAotOptions(cache));
+    ASSERT_TRUE(serial.usingAot());
+    EXPECT_FALSE(serial.cacheHit());
+
+    AotParallelEvaluator par(nl, parallelAotOptions(cache));
+    ASSERT_EQ(par.numProcesses(), 1u);
+    ASSERT_TRUE(par.usingAot());
+    EXPECT_TRUE(par.cacheHit());
+    EXPECT_EQ(par.compilerInvocations(), 0u);
+    EXPECT_EQ(par.partitionKey(0), serial.cacheKey());
+    EXPECT_EQ(par.partitionObject(0), serial.objectPath());
 }
 
 TEST(AotParallelEvaluator, MissingCompilerFallsBackToTheInterpretedTape)

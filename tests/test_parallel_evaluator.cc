@@ -25,18 +25,25 @@
  *    next one; memory-write operands are staged).  These designs are
  *    two cones, which Balanced merges into one process, so they use
  *    LPT and assert the two processes they claim to cross.
+ *  - One process: the large designs Balanced does not split run the
+ *    serial engine (its tape and arena, no worker) and match the
+ *    reference per lane; the engine layer still reports them as
+ *    netlist.parallel with their processes and threads.
  */
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <sstream>
 #include <vector>
 
 #include "designs/designs.hh"
+#include "engine/registry.hh"
 #include "netlist/builder.hh"
 #include "netlist/parallel_evaluator.hh"
 #include "netlist/partition.hh"
+#include "one_process.hh"
 #include "random_circuit.hh"
 #include "runtime/waveform.hh"
 
@@ -482,4 +489,43 @@ TEST(ParallelEvaluator, LptMergeMatchesReferenceDisplayLog)
     EXPECT_EQ(ref.run(100), SimStatus::Finished);
     EXPECT_EQ(par.cycle(), ref.cycle());
     EXPECT_EQ(par.displayLog(), ref.displayLog());
+}
+
+TEST(ParallelEvaluator, OneProcessRunsTheSerialEngine)
+{
+    // The large designs Balanced runs as one process at 3 threads on
+    // the tape.  At 7 lanes (8 padded) the sync weighs an eighth per
+    // lane, so only blur stays whole; vta and jpeg split there.
+    struct Case
+    {
+        const char *design;
+        unsigned lanes;
+    };
+    for (Case c : {Case{"jpeg", 1}, Case{"vta", 1}, Case{"blur", 1},
+                   Case{"blur", 7}}) {
+        SCOPED_TRACE(std::string(c.design) + " lanes " +
+                     std::to_string(c.lanes));
+        Netlist nl = manticore::testing::largeDesign(c.design);
+        EvalOptions options;
+        options.numThreads = 3;
+        options.lanes = c.lanes;
+        ParallelCompiledEvaluator par(nl, options);
+        manticore::testing::expectSerialShape(par, nl, options);
+        manticore::testing::expectLanesMatchReference(nl, par, 4096);
+        EXPECT_EQ(par.status(), SimStatus::Finished);
+    }
+}
+
+TEST(ParallelEvaluator, OneProcessEngineReportsProcessesAndThreads)
+{
+    engine::CreateOptions opts;
+    opts.eval.numThreads = 3;
+    auto eng = engine::create("netlist.parallel",
+                              manticore::testing::largeDesign("jpeg"), opts);
+    EXPECT_STREQ(eng->name(), "netlist.parallel");
+    std::map<std::string, uint64_t> stats;
+    for (const engine::Stat &s : eng->stats())
+        stats[s.name] = s.value;
+    EXPECT_EQ(stats["processes"], 1u);
+    EXPECT_EQ(stats["threads"], 3u);
 }

@@ -16,6 +16,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include "engine/crosscheck.hh"
 #include "engine/registry.hh"
 #include "engine/snapshot.hh"
@@ -154,7 +156,8 @@ TEST(ReplayRecorder, CrossCheckDivergenceReproducesInFreshEngines)
     recorder.trace.designParam = 40;
     recorder.trace.designHash = engine::designHash(nl);
     recorder.signals = runtime::probeSignals(nl);
-    recorder.dir = ::testing::TempDir() + "manticore-replay-test";
+    recorder.dir = ::testing::TempDir() + "manticore-replay-test-" +
+                   std::to_string(::getpid());
     recorder.stem = "forced";
 
     engine::CrossCheck cc(*golden, *subject);
@@ -197,6 +200,8 @@ TEST(ReplayRecorder, CrossCheckDivergenceReproducesInFreshEngines)
         EXPECT_TRUE(r.passed) << r.detail;
     }
     EXPECT_GE(ran, 4u); // all four netlist engines have free inputs
+    std::error_code ec;
+    std::filesystem::remove_all(recorder.dir, ec);
 }
 
 TEST(ReplayRecorder, EnsembleDivergenceReproducesInFreshEngines)
@@ -216,7 +221,8 @@ TEST(ReplayRecorder, EnsembleDivergenceReproducesInFreshEngines)
     recorder.trace.designParam = 40;
     recorder.trace.designHash = engine::designHash(nl);
     recorder.signals = runtime::probeSignals(nl);
-    recorder.dir = ::testing::TempDir() + "manticore-replay-test";
+    recorder.dir = ::testing::TempDir() + "manticore-replay-test-" +
+                   std::to_string(::getpid());
     recorder.stem = "forced-ensemble";
 
     engine::EnsembleCrossCheck cc(goldens, *subject);
@@ -244,4 +250,6 @@ TEST(ReplayRecorder, EnsembleDivergenceReproducesInFreshEngines)
         ASSERT_TRUE(r.ran) << r.skipReason;
         EXPECT_TRUE(r.passed) << r.detail;
     }
+    std::error_code ec;
+    std::filesystem::remove_all(recorder.dir, ec);
 }

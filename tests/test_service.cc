@@ -28,6 +28,7 @@
 #include <thread>
 
 #include <sys/socket.h>
+#include <unistd.h>
 
 #include "engine/registry.hh"
 #include "engine/snapshot.hh"
@@ -568,8 +569,9 @@ TEST(ServiceStress, ConcurrentEngineCreateIsSafe)
 
 TEST(Service, PeriodicCheckpointsAreRestorable)
 {
-    fs::path dir =
-        fs::temp_directory_path() / "manticore_service_ckpt_test";
+    fs::path dir = fs::temp_directory_path() /
+                   ("manticore_service_ckpt_test_" +
+                    std::to_string(::getpid()));
     fs::remove_all(dir);
     service::SchedulerOptions o = smallQuantum(128, 1);
     o.checkpointEveryCycles = 512;
@@ -824,8 +826,9 @@ TEST(ServiceProtocol, ValueEncodingRoundTrips)
 
 TEST(ServiceProtocol, SaveDirConfinesTenantPaths)
 {
-    fs::path dir =
-        fs::temp_directory_path() / "manticore_service_savedir_test";
+    fs::path dir = fs::temp_directory_path() /
+                   ("manticore_service_savedir_test_" +
+                    std::to_string(::getpid()));
     fs::remove_all(dir);
     fs::create_directories(dir);
     ProtoFixture fx(dir.string());
@@ -859,8 +862,9 @@ TEST(ServiceProtocol, SaveDirConfinesTenantPaths)
 
 TEST(Service, CheckpointFailureDegradesInsteadOfDying)
 {
-    fs::path dir =
-        fs::temp_directory_path() / "manticore_service_ckpt_degrade";
+    fs::path dir = fs::temp_directory_path() /
+                   ("manticore_service_ckpt_degrade_" +
+                    std::to_string(::getpid()));
     fs::remove_all(dir);
     service::SchedulerOptions o = smallQuantum(128, 1);
     o.checkpointEveryCycles = 512;
