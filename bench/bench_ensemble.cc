@@ -17,6 +17,14 @@
  * through lanes>=8.  lanes=1 is the PR 4 batched-step baseline (same
  * engines, same step(n) path).
  *
+ * netlist.aot runs the laned AOT codegen (lane-width-templated bodies
+ * compiled -O3 with the probed SIMD flags), which pays no dispatch at
+ * all.  Its widest-lane row over netlist.compiled's is the codegen's
+ * gain over the interpreted SIMD tape, printed and written per design
+ * as "aot_vs_compiled".  It is skipped without a host toolchain; its
+ * objects go to the default AOT cache ($MANTICORE_AOT_CACHE
+ * overrides it) and are built before the clock runs.
+ *
  * lanes=7 is the padding datapoint: exec::paddedLaneCount rounds it
  * up to the 8-wide kernels, so the run does 8 lanes of compute with 7
  * visible — its aggregate throughput should land near 7/8 of the
@@ -28,6 +36,10 @@
  * compiled to a Manticore program once per design and every lane
  * count shares that program, mirroring a regression farm's
  * compile-once / fan-out usage.
+ *
+ * Every engine and lane count of a design is timed round-robin, best
+ * of 4 rounds, so host-speed drift lands on all of a design's rows
+ * alike and the ratios between them stay fair.
  */
 
 #include <algorithm>
@@ -38,6 +50,7 @@
 #include "compiler/compiler.hh"
 #include "engine/registry.hh"
 #include "exec/padding.hh"
+#include "netlist/aot.hh"
 #include "netlist/builder.hh"
 
 using namespace manticore;
@@ -47,10 +60,10 @@ namespace {
 /** One measurement on a FRESH engine so no run can trip the design's
  *  self-check horizon; returns ensemble kHz (rendezvous rate — every
  *  lane advances one cycle per ensemble cycle).  The caller
- *  interleaves lane counts round-robin and keeps the best of several
- *  rounds: the overhead-bound micros are sensitive to CPU-frequency
- *  drift, and interleaving exposes every lane count to the same
- *  windows instead of letting a slow spell bias one point. */
+ *  interleaves engines and lane counts round-robin and keeps the best
+ *  of several rounds: the overhead-bound micros are sensitive to
+ *  CPU-frequency drift, and interleaving exposes every point to the
+ *  same windows instead of letting a slow spell bias one of them. */
 double
 measureOnce(const std::function<std::unique_ptr<engine::Engine>()> &make,
             uint64_t horizon)
@@ -89,8 +102,9 @@ buildCounterMicro(uint64_t check_cycles)
 int
 main(int argc, char **argv)
 {
-    const std::vector<std::string> ensembled = {
-        "netlist.compiled", "netlist.parallel", "isa.tape"};
+    std::vector<std::string> ensembled = {
+        "netlist.compiled", "netlist.aot", "netlist.parallel",
+        "isa.tape"};
     const std::string only = bench::engineFlag(argc, argv, "");
     if (!only.empty() &&
         std::find(ensembled.begin(), ensembled.end(), only) ==
@@ -98,6 +112,8 @@ main(int argc, char **argv)
         MANTICORE_FATAL("--engine ", only, " has no ensemble mode; "
                         "this bench covers: ",
                         formatNameList(ensembled));
+    if (!only.empty())
+        ensembled = {only};
     const unsigned only_lanes = bench::lanesFlag(argc, argv, 0);
 
     // 7 rides the 8-wide kernels (the padded-vs-exact comparison).
@@ -120,18 +136,35 @@ main(int argc, char **argv)
 
     bench::printEnvironment(
         "Ensemble scaling: aggregate cycles/sec·lane vs lane count "
-        "through engine::Engine (best of 3; lanes=1 equals the PR 4 "
-        "batched-step baseline; lanes=7 runs padded on the 8-wide "
-        "kernels)");
+        "through engine::Engine (best of 4 interleaved rounds; "
+        "lanes=1 equals the PR 4 batched-step baseline; lanes=7 runs "
+        "padded on the 8-wide kernels)");
+    // Index of an engine in `ensembled`; ensembled.size() if absent.
+    auto position = [&](const char *name) -> size_t {
+        return std::find(ensembled.begin(), ensembled.end(), name) -
+               ensembled.begin();
+    };
+    if (position("netlist.aot") < ensembled.size() &&
+        !netlist::aotToolchain().ok) {
+        std::printf("netlist.aot skipped: %s\n",
+                    netlist::aotToolchain().message.c_str());
+        ensembled.erase(ensembled.begin() + position("netlist.aot"));
+    }
     std::printf("%8s  %18s  %6s  %6s  %14s  %14s  %10s\n", "design",
                 "engine", "lanes", "padded", "ensemble kHz",
                 "lane-kHz (agg)", "vs lanes=1");
 
     FILE *json = std::fopen("BENCH_ensemble.json", "w");
     if (json)
-        std::fprintf(json, "{\n  \"experiment\": \"ensemble\",\n"
-                           "  \"rows\": [\n");
+        std::fprintf(json, "{\n  \"experiment\": \"ensemble\",\n%s"
+                           "  \"rows\": [\n",
+                     bench::hostStampJson().c_str());
 
+    const size_t compiled = position("netlist.compiled");
+    const size_t aot = position("netlist.aot");
+    const unsigned widest = lane_counts.back();
+    std::vector<const char *> aot_designs; // where both engines ran
+    std::vector<double> aot_gains;         // aot over compiled, widest
     bool first = true;
     for (const DesignSpec &spec : specs) {
         netlist::Netlist nl = spec.build(spec.horizon * 8);
@@ -142,42 +175,49 @@ main(int argc, char **argv)
         // sample).
         compiler::CompileOptions isa_opts;
         std::optional<compiler::CompileResult> isa_cr;
-        if (only.empty() || only == "isa.tape")
+        if (position("isa.tape") < ensembled.size())
             isa_cr = compiler::compile(nl, isa_opts);
 
+        auto make = [&](const std::string &name, unsigned lanes) {
+            if (name == "isa.tape")
+                return engine::create(name, isa_cr->program,
+                                      isa_opts.config, {}, lanes);
+            engine::CreateOptions options;
+            options.lanes = lanes;
+            return engine::create(name, nl, options);
+        };
+        // Build every netlist.aot object before the clock runs.
+        if (aot < ensembled.size())
+            for (unsigned lanes : lane_counts)
+                make("netlist.aot", lanes);
         for (const std::string &name : ensembled) {
-            if (!only.empty() && name != only)
-                continue;
-            auto make = [&](unsigned lanes) {
-                if (name == "isa.tape")
-                    return engine::create(name, isa_cr->program,
-                                          isa_opts.config, {}, lanes);
-                engine::CreateOptions options;
-                options.lanes = lanes;
-                return engine::create(name, nl, options);
-            };
-            {
-                // Warm-up run (discarded): brings the core out of
-                // idle states before the lanes=1 baseline measures.
-                auto warm = make(1);
-                warm->step(std::min<uint64_t>(spec.horizon, 200'000));
-            }
-            // Round-robin over the lane counts, best of 4 rounds.
-            std::vector<double> best(lane_counts.size(), 0.0);
-            for (int round = 0; round < 4; ++round) {
-                for (size_t i = 0; i < lane_counts.size(); ++i) {
-                    unsigned lanes = lane_counts[i];
-                    best[i] = std::max(
-                        best[i],
-                        measureOnce([&]() { return make(lanes); },
-                                    spec.horizon));
-                }
-            }
+            // Warm-up run (discarded): brings the core out of idle
+            // states before the lanes=1 baselines measure.
+            auto warm = make(name, 1);
+            warm->step(std::min<uint64_t>(spec.horizon, 200'000));
+        }
+        // Round-robin over the engines and lane counts, best of 4
+        // rounds: best[e][i] is ensembled[e] at lane_counts[i].
+        std::vector<std::vector<double>> best(
+            ensembled.size(), std::vector<double>(lane_counts.size()));
+        for (int round = 0; round < 4; ++round)
+            for (size_t e = 0; e < ensembled.size(); ++e)
+                for (size_t i = 0; i < lane_counts.size(); ++i)
+                    best[e][i] = std::max(
+                        best[e][i], measureOnce(
+                                        [&]() {
+                                            return make(ensembled[e],
+                                                        lane_counts[i]);
+                                        },
+                                        spec.horizon));
+
+        for (size_t e = 0; e < ensembled.size(); ++e) {
+            const std::string &name = ensembled[e];
             double base_lane_khz = 0.0;
             for (size_t i = 0; i < lane_counts.size(); ++i) {
                 unsigned lanes = lane_counts[i];
                 unsigned padded = exec::paddedLaneCount(lanes);
-                double ens_khz = best[i];
+                double ens_khz = best[e][i];
                 double lane_khz = ens_khz * lanes;
                 if (lanes == 1)
                     base_lane_khz = lane_khz;
@@ -215,10 +255,34 @@ main(int argc, char **argv)
                 }
             }
         }
+        if (aot < ensembled.size() && compiled < ensembled.size() &&
+            best[compiled].back() > 0) {
+            double gain = best[aot].back() / best[compiled].back();
+            aot_designs.push_back(spec.name);
+            aot_gains.push_back(gain);
+            std::printf("%8s  netlist.aot at %u lanes: %.2fx "
+                        "netlist.compiled\n",
+                        spec.name, widest, gain);
+        }
     }
 
+    if (!aot_gains.empty())
+        std::printf("geomean netlist.aot over netlist.compiled at %u "
+                    "lanes: %.2fx\n",
+                    widest, bench::geomean(aot_gains));
     if (json) {
-        std::fprintf(json, "\n  ]\n}\n");
+        std::fprintf(json, "\n  ],\n  \"aot_vs_compiled\": [\n");
+        for (size_t i = 0; i < aot_gains.size(); ++i)
+            std::fprintf(json,
+                         "%s    {\"design\": \"%s\", \"lanes\": %u, "
+                         "\"ratio\": %.2f}",
+                         i == 0 ? "" : ",\n", aot_designs[i], widest,
+                         aot_gains[i]);
+        std::fprintf(json, "\n  ]");
+        if (!aot_gains.empty())
+            std::fprintf(json, ",\n  \"geomean_aot_vs_compiled\": %.2f",
+                         bench::geomean(aot_gains));
+        std::fprintf(json, "\n}\n");
         std::fclose(json);
         std::printf("wrote BENCH_ensemble.json\n");
     }

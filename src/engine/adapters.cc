@@ -173,6 +173,32 @@ ProbedEngine::probeWidth(ProbeHandle handle) const
     return _probeWidths[handle];
 }
 
+void
+ProbedEngine::checkLane(unsigned lane) const
+{
+    if (lane >= lanes())
+        MANTICORE_FATAL("engine ", name(), ": lane ", lane,
+                        " out of range (", lanes(), " lanes)");
+}
+
+std::vector<Stat>
+ProbedEngine::laneStats(std::vector<Stat> whole_run) const
+{
+    const unsigned n = lanes();
+    uint64_t total = 0;
+    for (unsigned l = 0; l < n; ++l)
+        total += laneCycle(l);
+    std::vector<Stat> stats{{"cycles", total}};
+    stats.insert(stats.end(), whole_run.begin(), whole_run.end());
+    if (n > 1) {
+        stats.push_back({"lanes", n});
+        for (unsigned l = 0; l < n; ++l)
+            stats.push_back({"lane" + std::to_string(l) + ".cycles",
+                             laneCycle(l)});
+    }
+    return stats;
+}
+
 // ---------------------------------------------------------------------------
 // NetlistEngine
 // ---------------------------------------------------------------------------
@@ -259,14 +285,6 @@ NetlistEngine::setInput(InputHandle handle, const BitVector &value)
 }
 
 void
-NetlistEngine::checkLane(unsigned lane) const
-{
-    if (lane >= _eval->lanes())
-        MANTICORE_FATAL("engine ", _name, ": lane ", lane,
-                        " out of range (", _eval->lanes(), " lanes)");
-}
-
-void
 NetlistEngine::setInputLane(InputHandle handle, unsigned lane,
                             const BitVector &value)
 {
@@ -349,21 +367,7 @@ NetlistEngine::failureMessage() const
 std::vector<Stat>
 NetlistEngine::stats() const
 {
-    // "cycles" is the total simulated cycles delivered across the
-    // ensemble (the per-lane counters summed), so throughput math is
-    // meaningful whether the run was batched, ensembled, or both; at
-    // one lane it equals cycle() exactly as before.
-    const unsigned lanes = _eval->lanes();
-    uint64_t total = 0;
-    for (unsigned l = 0; l < lanes; ++l)
-        total += _eval->laneCycle(l);
-    std::vector<Stat> stats{{"cycles", total}};
-    if (lanes > 1) {
-        stats.push_back({"lanes", lanes});
-        for (unsigned l = 0; l < lanes; ++l)
-            stats.push_back({"lane" + std::to_string(l) + ".cycles",
-                             _eval->laneCycle(l)});
-    }
+    std::vector<Stat> stats = laneStats();
     // The partition-parallel engines are CompiledEvaluators too (one
     // process runs the serial step), so they are asked first.
     if (auto *p = dynamic_cast<const netlist::ParallelCompiledEvaluator *>(
@@ -498,14 +502,6 @@ IsaEngine::read(ProbeHandle handle) const
                             });
 }
 
-void
-IsaEngine::checkLane(unsigned lane) const
-{
-    if (lane >= _interp->lanes())
-        MANTICORE_FATAL("engine ", _name, ": lane ", lane,
-                        " out of range (", _interp->lanes(), " lanes)");
-}
-
 BitVector
 IsaEngine::readLane(ProbeHandle handle, unsigned lane) const
 {
@@ -584,26 +580,12 @@ IsaEngine::failureMessage() const
 std::vector<Stat>
 IsaEngine::stats() const
 {
-    // Same aggregation contract as NetlistEngine: "cycles" is the
-    // total simulated Vcycles delivered across the ensemble, and
-    // instructions/sends already sum over the lanes inside the
-    // interpreter.  Padded lanes contribute nothing (they are frozen
-    // from birth and excluded from lanes()).
-    const unsigned lanes = _interp->lanes();
-    uint64_t total = 0;
-    for (unsigned l = 0; l < lanes; ++l)
-        total += _interp->laneVcycle(l);
-    std::vector<Stat> stats{
-        {"cycles", total},
-        {"instructions", _interp->instructionsExecuted()},
-        {"sends", _interp->sendsExecuted()},
-    };
-    if (lanes > 1) {
-        stats.push_back({"lanes", lanes});
-        for (unsigned l = 0; l < lanes; ++l)
-            stats.push_back({"lane" + std::to_string(l) + ".cycles",
-                             _interp->laneVcycle(l)});
-    }
+    // "cycles" counts Vcycles; instructions/sends already sum over
+    // the lanes inside the interpreter.  Padded lanes contribute
+    // nothing (they are frozen from birth and excluded from lanes()).
+    std::vector<Stat> stats =
+        laneStats({{"instructions", _interp->instructionsExecuted()},
+                   {"sends", _interp->sendsExecuted()}});
     if (auto *t = dynamic_cast<const isa::TapeInterpreter *>(_interp)) {
         stats.push_back({"tape_length", t->tapeLength()});
         stats.push_back({"nops_elided", t->nopsElided()});

@@ -75,7 +75,9 @@ BitVector assembleRtlValue(
     const std::function<uint16_t(uint32_t pid, isa::Reg reg)> &read_chunk);
 
 /** Shared probe-table plumbing: name->handle resolution with
- *  name-listing diagnostics; handles are table indices. */
+ *  name-listing diagnostics; handles are table indices.  Also the
+ *  lane plumbing the ensemble adapters share, over the virtual
+ *  lanes(), laneCycle() and name(). */
 class ProbedEngine : public Engine
 {
   public:
@@ -85,6 +87,14 @@ class ProbedEngine : public Engine
     unsigned probeWidth(ProbeHandle handle) const override;
 
   protected:
+    /** Fatal unless lane < lanes(). */
+    void checkLane(unsigned lane) const;
+    /** The ensemble's stats: "cycles" (the per-lane cycles summed,
+     *  so throughput math holds whether the run was batched,
+     *  ensembled, or both), then `whole_run`, then for an ensemble
+     *  "lanes" and each "lane<i>.cycles". */
+    std::vector<Stat> laneStats(std::vector<Stat> whole_run = {}) const;
+
     std::vector<std::string> _probeNames;
     std::vector<unsigned> _probeWidths;
 };
@@ -113,9 +123,8 @@ class NetlistEngine : public ProbedEngine
     uint64_t cycle() const override;
     Status status() const override;
     std::string failureMessage() const override;
-    /** "cycles" aggregates over the lanes (the total simulated
-     *  cycles this engine delivered); an ensemble also reports
-     *  "lanes" and per-lane "lane<i>.cycles" counters. */
+    /** laneStats(), then the evaluator's tape, partition and AOT
+     *  counters. */
     std::vector<Stat> stats() const override;
 
     const std::vector<std::string> &displayLog() const override;
@@ -146,7 +155,6 @@ class NetlistEngine : public ProbedEngine
 
   private:
     void checkInput(InputHandle handle, const BitVector &value) const;
-    void checkLane(unsigned lane) const;
 
     std::string _name;
     std::unique_ptr<netlist::EvaluatorBase> _owned;
@@ -178,8 +186,8 @@ class IsaEngine : public ProbedEngine
     uint64_t cycle() const override;
     Status status() const override;
     std::string failureMessage() const override;
-    /** "cycles" aggregates over the lanes, mirroring NetlistEngine;
-     *  an ensemble also reports "lanes" and "lane<i>.cycles". */
+    /** laneStats() around "instructions" and "sends", then the tape
+     *  interpreter's counters. */
     std::vector<Stat> stats() const override;
 
     const std::vector<std::string> &displayLog() const override;
@@ -235,8 +243,6 @@ class IsaEngine : public ProbedEngine
     }
 
   private:
-    void checkLane(unsigned lane) const;
-
     std::string _name;
     /// Declared before _owned: the interpreter references program
     /// storage living in _context, so it must be destroyed first.

@@ -257,7 +257,7 @@ class AotEvaluator : public CompiledEvaluator
  *  Partitions whose object cannot be built or loaded fall back to the
  *  interpreted tape individually; the rendezvous protocol, commits
  *  and effects are inherited untouched, so determinism across thread
- *  counts and wait policies is inherited too. */
+ *  counts is inherited too. */
 class AotParallelEvaluator : public ParallelCompiledEvaluator
 {
   public:

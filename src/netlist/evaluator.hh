@@ -179,20 +179,9 @@ class EvaluatorBase
                                  const std::string &name);
 };
 
-/** How the parallel evaluator's rendezvous waits for its peers. */
-enum class WaitPolicy
-{
-    /// Spin with periodic yields: lowest latency, burns the core.
-    Spin,
-    /// Park on a condition variable: frees the core between phases —
-    /// for oversubscribed hosts where idle partitions would otherwise
-    /// steal cycles from the partitions still computing.
-    Block,
-};
-
 /** Engine options; the compiled engines consult lanes, the parallel
- *  engines the thread, merge and wait settings, the AOT engines the
- *  aot* settings. */
+ *  engines the thread and merge settings, the AOT engines the aot*
+ *  settings. */
 struct EvalOptions
 {
     /// Upper bound on the partition count, and so on the worker
@@ -214,8 +203,6 @@ struct EvalOptions
     /// per Vcycle) amortised over N lanes.  Compiled engines only;
     /// the reference Evaluator is scalar.
     unsigned lanes = 1;
-    /// Rendezvous wait policy (parallel engines only).
-    WaitPolicy waitPolicy = WaitPolicy::Spin;
     /// AOT modes: object-cache directory override.  Empty means
     /// $MANTICORE_AOT_CACHE, then a per-user directory under
     /// $TMPDIR (see src/netlist/aot.hh for the resolution order).

@@ -15,49 +15,22 @@ namespace {
 
 constexpr uint32_t kNoSlot = ~0u;
 
+/** The rendezvous' one wait: until the monotonic `counter` reaches
+ *  `target`.  Spin-then-yield keeps oversubscribed (or single-core)
+ *  hosts making progress, as in baseline's worker pool. */
+void
+waitFor(const std::atomic<uint64_t> &counter, uint64_t target)
+{
+    unsigned spins = 0;
+    while (counter.load(std::memory_order_acquire) < target) {
+        if (++spins > 256) {
+            std::this_thread::yield();
+            spins = 0;
+        }
+    }
+}
+
 } // namespace
-
-// ---------------------------------------------------------------------------
-// Rendezvous waits (WaitPolicy::Spin | WaitPolicy::Block)
-// ---------------------------------------------------------------------------
-
-uint64_t
-ParallelCompiledEvaluator::waitAboveBlocked(
-    const std::atomic<uint64_t> &gen, uint64_t last) const
-{
-    uint64_t v;
-    if ((v = gen.load(std::memory_order_acquire)) != last)
-        return v;
-    std::unique_lock<std::mutex> lk(_waitMx);
-    _waitCv.wait(lk, [&] {
-        return (v = gen.load(std::memory_order_acquire)) != last;
-    });
-    return v;
-}
-
-void
-ParallelCompiledEvaluator::waitCountBlocked(
-    const std::atomic<uint64_t> &counter, uint64_t target) const
-{
-    if (counter.load(std::memory_order_acquire) >= target)
-        return;
-    std::unique_lock<std::mutex> lk(_waitMx);
-    _waitCv.wait(lk, [&] {
-        return counter.load(std::memory_order_acquire) >= target;
-    });
-}
-
-void
-ParallelCompiledEvaluator::wakeBlocked() const
-{
-    // The empty critical section orders this wake after any peer that
-    // checked the predicate (false) but has not yet parked: it holds
-    // _waitMx between the check and the park, so by the time we can
-    // take the lock it is either parked (notify reaches it) or has
-    // seen the new counter value.
-    { std::lock_guard<std::mutex> lk(_waitMx); }
-    _waitCv.notify_all();
-}
 
 ParallelCompiledEvaluator::ParallelCompiledEvaluator(
     Netlist netlist, const EvalOptions &options)
@@ -68,8 +41,7 @@ ParallelCompiledEvaluator::ParallelCompiledEvaluator(
 ParallelCompiledEvaluator::ParallelCompiledEvaluator(
     Netlist netlist, const EvalOptions &options, size_t sync_cost)
     : CompiledEvaluator(std::move(netlist), options, Unlowered{}),
-      _bank{exec::Arena(_padded), exec::Arena(_padded)},
-      _waitPolicy(options.waitPolicy)
+      _bank{exec::Arena(_padded), exec::Arena(_padded)}
 {
     unsigned hw = std::thread::hardware_concurrency();
     _numThreads = options.numThreads != 0 ? options.numThreads
@@ -99,7 +71,6 @@ ParallelCompiledEvaluator::~ParallelCompiledEvaluator()
     // bumping its generation with _shutdown set releases them.
     _shutdown.store(true, std::memory_order_relaxed);
     _computeGen.fetch_add(1, std::memory_order_release);
-    wake();
     for (std::thread &t : _pool)
         t.join();
 }
@@ -343,8 +314,7 @@ void
 ParallelCompiledEvaluator::arrive(uint64_t target)
 {
     _arrivals.fetch_add(1, std::memory_order_release);
-    wake();
-    waitCount(_arrivals, target);
+    waitFor(_arrivals, target);
 }
 
 /* Batch protocol.  A run()/step() call issues ONE pool command: the
@@ -376,17 +346,18 @@ ParallelCompiledEvaluator::arrive(uint64_t target)
  * decision slot of Vcycle s before its arrival at barrier s and next
  * rewrites it for Vcycle s+2, after barrier s+1 — which needs every
  * reader's arrival, and a worker's last read of slot s (as Vcycle
- * s+1's active mask) precedes it.  Under WaitPolicy::Block every
- * arrival is followed by wake() so a parked peer re-checks its
- * predicate. */
+ * s+1's active mask) precedes it. */
 void
 ParallelCompiledEvaluator::workerLoop(size_t proc_index)
 {
     const uint64_t participants = _procs.size();
     const Proc &proc = _procs[proc_index];
-    uint64_t seen = 0;
+    // Every worker takes part in every batch, and the master bumps
+    // _computeGen once per batch (and once to shut down), so the
+    // worker's n-th batch starts at the n-th bump.
+    uint64_t batches = 0;
     while (true) {
-        seen = waitAbove(_computeGen, seen);
+        waitFor(_computeGen, ++batches);
         if (_shutdown.load(std::memory_order_relaxed))
             return;
         uint64_t target = _batchArrivals;
@@ -430,7 +401,6 @@ ParallelCompiledEvaluator::runBatch(uint64_t max_cycles)
     _batchArrivals = _arrivals.load(std::memory_order_relaxed);
     _batchSeq = _seq;
     _computeGen.fetch_add(1, std::memory_order_release);
-    wake();
 
     uint64_t target = _batchArrivals;
     const Decision *active = &_start;

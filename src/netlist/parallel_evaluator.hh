@@ -37,9 +37,7 @@
  * Each lane carries its own status / cycle / failure message /
  * display transcript; a lane that finishes or fails an assertion is
  * frozen (no process writes it again) while the remaining lanes keep
- * running.  EvalOptions::waitPolicy selects how the rendezvous
- * waits: Spin (lowest latency) or Block (condition variable — idle
- * partitions release their core on oversubscribed hosts).
+ * running.
  *
  * One process is the serial engine.  The Balanced merge runs one
  * process where the barrier would cost more than the split saves, as
@@ -51,16 +49,14 @@
  *
  * The engine is cycle-exact with the reference Evaluator per lane
  * (including side-effect ordering and pre-commit snapshot semantics)
- * and deterministic across runs, thread counts and wait policies.
+ * and deterministic across runs and thread counts.
  */
 
 #ifndef MANTICORE_NETLIST_PARALLEL_EVALUATOR_HH
 #define MANTICORE_NETLIST_PARALLEL_EVALUATOR_HH
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -96,8 +92,8 @@ class ParallelCompiledEvaluator : public CompiledEvaluator
     /** Keeps its own copy of the netlist (cold data only).  options
      *  bounds the worker-pool size and the partition count (0 =
      *  hardware concurrency; Balanced may run fewer processes, down
-     *  to one, where the sync outweighs the split), picks the merge
-     *  strategy, the ensemble width and the rendezvous wait policy.
+     *  to one, where the sync outweighs the split), and picks the
+     *  merge strategy and the ensemble width.
      *  A partition of one process is lowered and stepped as the
      *  serial CompiledEvaluator: no banks, no worker, no barrier. */
     explicit ParallelCompiledEvaluator(Netlist netlist,
@@ -136,7 +132,6 @@ class ParallelCompiledEvaluator : public CompiledEvaluator
      *  whatever scheduler worker borrowed the session (see
      *  src/service/scheduler.hh). */
     size_t ownedThreads() const { return _pool.size(); }
-    WaitPolicy waitPolicy() const { return _waitPolicy; }
     const NetlistPartitionStats &partitionStats() const { return _stats; }
     size_t tapeLength() const; ///< total instructions across processes
     /// Instructions in process p's tape.
@@ -257,62 +252,6 @@ class ParallelCompiledEvaluator : public CompiledEvaluator
     void workerLoop(size_t proc_index);
     SimStatus runBatch(uint64_t max_cycles);
 
-    // Rendezvous waits honouring the configured WaitPolicy: Spin
-    // spins with periodic yields; Block parks on _waitCv after a
-    // failed predicate check under _waitMx.  wake() is called after
-    // every counter bump that a blocked peer may be waiting on (the
-    // empty lock/unlock before notify_all closes the
-    // checked-then-parked race).
-    // The Spin paths are inline: they sit on the per-cycle rendezvous
-    // hot path; the Block (condvar) halves live out of line.
-    uint64_t
-    waitAbove(const std::atomic<uint64_t> &gen, uint64_t last) const
-    {
-        if (_waitPolicy == WaitPolicy::Spin) {
-            // Spin-then-yield keeps oversubscribed (or single-core)
-            // hosts making progress, as in baseline's worker pool.
-            uint64_t v;
-            unsigned spins = 0;
-            while ((v = gen.load(std::memory_order_acquire)) == last) {
-                if (++spins > 256) {
-                    std::this_thread::yield();
-                    spins = 0;
-                }
-            }
-            return v;
-        }
-        return waitAboveBlocked(gen, last);
-    }
-
-    void
-    waitCount(const std::atomic<uint64_t> &counter, uint64_t target) const
-    {
-        if (_waitPolicy == WaitPolicy::Spin) {
-            unsigned spins = 0;
-            while (counter.load(std::memory_order_acquire) < target) {
-                if (++spins > 256) {
-                    std::this_thread::yield();
-                    spins = 0;
-                }
-            }
-            return;
-        }
-        waitCountBlocked(counter, target);
-    }
-
-    void
-    wake() const // inline Spin no-op: the rendezvous hot path
-    {
-        if (_waitPolicy == WaitPolicy::Block)
-            wakeBlocked();
-    }
-
-    uint64_t waitAboveBlocked(const std::atomic<uint64_t> &gen,
-                              uint64_t last) const;
-    void waitCountBlocked(const std::atomic<uint64_t> &counter,
-                          uint64_t target) const;
-    void wakeBlocked() const;
-
     // The netlist copy, the lane counts (_lanes requested, _padded
     // run; the Vcycle never writes a padded lane), the memory images,
     // the effects and the lane state are the base class's; with
@@ -328,7 +267,6 @@ class ParallelCompiledEvaluator : public CompiledEvaluator
     std::vector<Proc> _procs;
     NetlistPartitionStats _stats;
     unsigned _numThreads = 1;
-    WaitPolicy _waitPolicy = WaitPolicy::Spin;
 
     // One-barrier worker-pool rendezvous.  The master participates by
     // running process 0 inline; workers run processes 1..N-1.
@@ -349,8 +287,6 @@ class ParallelCompiledEvaluator : public CompiledEvaluator
     uint64_t _batchSeq = 0;      ///< _seq at batch start
     Decision _start; ///< lanes active at batch start (commit flags)
     Decision _decision[2]; ///< indexed by Vcycle sequence parity
-    mutable std::mutex _waitMx; ///< WaitPolicy::Block only
-    mutable std::condition_variable _waitCv;
     std::vector<std::thread> _pool;
 
     // Master-only run state (the per-lane state is the base class's).

@@ -578,9 +578,8 @@ Scheduler::enqueueReady(const SessionPtr &s)
 void
 Scheduler::workerLoop()
 {
-    // The WaitPolicy::Block shape from the parallel evaluator's
-    // rendezvous: workers park on a condvar whenever the ready queue
-    // is empty, so an idle service burns zero CPU.
+    // Workers park on a condvar whenever the ready queue is empty,
+    // so an idle service burns zero CPU.
     std::unique_lock<std::mutex> lk(_mx);
     for (;;) {
         _workCv.wait(lk, [&] { return _shutdown || !_ready.empty(); });

@@ -31,9 +31,8 @@
  *    (submit returns false instead of queueing unboundedly).
  *
  *  - Idle costs nothing: workers park on a condition variable when
- *    the ready queue is empty (the same blocked rendezvous the
- *    parallel evaluator's WaitPolicy::Block uses), and a session with
- *    no pending work is simply absent from the ready queue.  A
+ *    the ready queue is empty, and a session with no pending work is
+ *    simply absent from the ready queue.  A
  *    thousand idle sessions consume memory, not CPU.
  *
  * Threading contract: a session's engine is touched ONLY by the

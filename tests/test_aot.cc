@@ -383,7 +383,6 @@ TEST(AotCache, ConcurrentColdBuildsOfOneObjectAllLoad)
     EvalOptions par = aotOptions(freshCacheDir("race-parallel"));
     par.aotJobs = 1;
     par.numThreads = 2;
-    par.waitPolicy = netlist::WaitPolicy::Block;
     EXPECT_EQ(concurrentFallbacks<netlist::AotParallelEvaluator>(nl, par),
               0u);
 }

@@ -6,9 +6,9 @@
  * divergent per-lane finish/assert cycles, display transcripts and
  * failure messages.  Also covers the satellite guarantees: lane-0
  * API compatibility at lanes=1, broadcast vs lane-indexed stimulus,
- * batched step(n) exactness on ensembles, the blocking rendezvous
- * wait policy, aggregated stats / RunResult::lanes, and the
- * registry's rejection of lanes on non-ensemble engines.
+ * batched step(n) exactness on ensembles, aggregated stats /
+ * RunResult::lanes, and the registry's rejection of lanes on
+ * non-ensemble engines.
  */
 
 #include <gtest/gtest.h>
@@ -118,16 +118,12 @@ makeGoldens(const netlist::Netlist &nl, unsigned lanes,
  *  counts, failure messages and display transcripts. */
 void
 runRandomDifferential(const std::string &subject_name, unsigned lanes,
-                      uint64_t seed, uint64_t horizon,
-                      netlist::WaitPolicy wait_policy =
-                          netlist::WaitPolicy::Spin)
+                      uint64_t seed, uint64_t horizon)
 {
     manticore::testing::RandomCircuit rc(seed);
     netlist::Netlist nl = rc.build();
 
-    engine::CreateOptions sopts = ensembleOptions(lanes);
-    sopts.eval.waitPolicy = wait_policy;
-    auto subject = engine::create(subject_name, nl, sopts);
+    auto subject = engine::create(subject_name, nl, ensembleOptions(lanes));
     EXPECT_EQ(subject->lanes(), lanes);
     EXPECT_EQ(subject->has(engine::cap::kEnsemble), lanes > 1);
     expectSplit(*subject);
@@ -180,16 +176,6 @@ TEST(Ensemble, RandomDifferentialEveryLaneCount)
         for (unsigned lanes : {1u, 2u, 7u, 16u})
             for (uint64_t seed : {11ull, 23ull, 37ull})
                 runRandomDifferential(name, lanes, seed, 150);
-}
-
-TEST(Ensemble, RandomDifferentialBlockingWaitPolicy)
-{
-    // The condvar rendezvous must be exactly as cycle-exact (and, in
-    // the sanitized configs, as race-free) as the spinning one.
-    for (unsigned lanes : {1u, 4u})
-        for (uint64_t seed : {11ull, 23ull})
-            runRandomDifferential("netlist.parallel", lanes, seed, 150,
-                                  netlist::WaitPolicy::Block);
 }
 
 TEST(Ensemble, DivergentFinishCyclesFreezeOnlyTheirLane)

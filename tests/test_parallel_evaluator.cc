@@ -10,10 +10,10 @@
  *    failure message.  Run it under TSan via
  *    `cmake -DMANTICORE_SANITIZE=thread` + `ctest -L parallel`.
  *  - Batch boundaries: run(n) over batch lengths of both parities,
- *    at several LPT partition counts, both wait policies and 1 or 3
- *    lanes, against per-lane references — the one-barrier Vcycle
- *    leaves the state in either arena bank and memory writes pending
- *    when a batch ends, and this pins the hand-off.
+ *    at several LPT partition counts and 1 or 3 lanes, against
+ *    per-lane references — the one-barrier Vcycle leaves the state
+ *    in either arena bank and memory writes pending when a batch
+ *    ends, and this pins the hand-off.
  *  - Determinism: identical waveform samples across repeated runs,
  *    thread counts, and merge algorithms.
  *  - Partition invariants: unique register/memory-write/effect
@@ -58,7 +58,6 @@ using netlist::OpKind;
 using netlist::ParallelCompiledEvaluator;
 using netlist::RegId;
 using netlist::SimStatus;
-using netlist::WaitPolicy;
 using manticore::testing::RandomCircuit;
 using manticore::testing::randomValue;
 
@@ -233,12 +232,10 @@ TEST(ParallelEvaluator, BatchesOfEveryLengthMatchReference)
         for (size_t i = 0; i < widths.size(); ++i)
             inputs.push_back(nl.findInput("in" + std::to_string(i)));
         for (unsigned threads : {2u, 3u, 4u})
-        for (WaitPolicy policy : {WaitPolicy::Spin, WaitPolicy::Block})
         for (unsigned lanes : {1u, 3u}) {
             EvalOptions options;
             options.numThreads = threads;
             options.mergeAlgo = MergeAlgo::Lpt; // a real split
-            options.waitPolicy = policy;
             options.lanes = lanes;
             ParallelCompiledEvaluator par(nl, options);
             ASSERT_GE(par.numProcesses(), 2u);
@@ -251,8 +248,6 @@ TEST(ParallelEvaluator, BatchesOfEveryLengthMatchReference)
                 uint64_t n = kBatch[b % 5];
                 std::string where = "seed " + std::to_string(seed) +
                                     " threads " + std::to_string(threads) +
-                                    " policy " +
-                                    std::to_string(static_cast<int>(policy)) +
                                     " lanes " + std::to_string(lanes) +
                                     " batch " + std::to_string(b) +
                                     " n " + std::to_string(n);
