@@ -11,6 +11,7 @@
 #include <mutex>
 #include <sstream>
 #include <thread>
+#include <unordered_map>
 
 #include <dlfcn.h>
 #include <sys/utsname.h>
@@ -264,32 +265,70 @@ hexU64(uint64_t v)
     return buf;
 }
 
-std::string
-ptr(uint32_t off)
+/** Where the results of one object's tape live.  A result that only
+ *  later statements of its own chunk function read — no later chunk
+ *  and nothing outside the tape (EmitSpec::liveOut) — is a block
+ *  declared in that function, `u64 t<slot>[limbs x L]`, which the
+ *  host compiler keeps in registers; every other slot, the sources
+ *  (Const, Input, RegRead) included, is the arena's.  A local block
+ *  keeps the arena block's lane stride, so a statement's shape does
+ *  not depend on where its operands live: only their spelling does. */
+class Placement
 {
-    return "A + " + std::to_string(off);
-}
+  public:
+    explicit Placement(std::vector<uint32_t> locals)
+        : _locals(std::move(locals))
+    {
+    }
 
-std::string
-laneIdx(uint32_t off, uint32_t stride)
-{
-    std::string s = std::to_string(off) + " + l";
-    if (stride != 1)
-        s += " * " + std::to_string(stride) + "u";
-    return s;
-}
+    bool
+    local(uint32_t slot) const
+    {
+        return std::binary_search(_locals.begin(), _locals.end(), slot);
+    }
 
-std::string
-laneSlot(uint32_t off, uint32_t stride)
-{
-    return "A[" + laneIdx(off, stride) + "]";
-}
+    /** The block's lane-0 base. */
+    std::string
+    ptr(uint32_t slot) const
+    {
+        return local(slot) ? "t" + std::to_string(slot)
+                           : "A + " + std::to_string(slot);
+    }
 
-std::string
-lanePtr(uint32_t off, uint32_t stride)
-{
-    return "A + " + laneIdx(off, stride);
-}
+    /** Lane l's first limb of a block of lane stride `stride`. */
+    std::string
+    laneSlot(uint32_t slot, uint32_t stride) const
+    {
+        return local(slot) ? "t" + std::to_string(slot) + "[" +
+                                 laneOffset(stride) + "]"
+                           : "A[" + arenaIdx(slot, stride) + "]";
+    }
+
+    /** Pointer to lane l's first limb of a block of lane stride
+     *  `stride`. */
+    std::string
+    lanePtr(uint32_t slot, uint32_t stride) const
+    {
+        return local(slot)
+                   ? "t" + std::to_string(slot) + " + " + laneOffset(stride)
+                   : "A + " + arenaIdx(slot, stride);
+    }
+
+  private:
+    static std::string
+    laneOffset(uint32_t stride)
+    {
+        return stride == 1 ? "l" : "l * " + std::to_string(stride) + "u";
+    }
+
+    static std::string
+    arenaIdx(uint32_t slot, uint32_t stride)
+    {
+        return std::to_string(slot) + " + " + laneOffset(stride);
+    }
+
+    std::vector<uint32_t> _locals; ///< sorted
+};
 
 /** Per-lane shift amount, mirroring tape.cc::shiftAmountLane (the
  *  lane stride of the amount operand is nlimbs(bw)): wide amounts
@@ -297,13 +336,13 @@ lanePtr(uint32_t off, uint32_t stride)
  *  which both the kernels and the narrow `amt >= width` guard treat
  *  as all-out. */
 std::string
-shiftAmountLane(const tape::Instr &in)
+shiftAmountLane(const tape::Instr &in, const Placement &at)
 {
     const uint32_t bs = lo::nlimbs(in.bw);
     if (in.bw <= 64)
-        return laneSlot(in.b, bs);
-    return "(lo::fitsUint64(" + lanePtr(in.b, bs) + ", " +
-           std::to_string(bs) + "u) ? " + laneSlot(in.b, bs) + " : " +
+        return at.laneSlot(in.b, bs);
+    return "(lo::fitsUint64(" + at.lanePtr(in.b, bs) + ", " +
+           std::to_string(bs) + "u) ? " + at.laneSlot(in.b, bs) + " : " +
            std::to_string(in.width) + "ull)";
 }
 
@@ -312,19 +351,21 @@ shiftAmountLane(const tape::Instr &in)
  *  runImpl<L> exactly — the randomized differentials and the
  *  CrossCheck matrix pin this: narrow ops call the width-templated
  *  laned kernels, wide ops and memory reads become constant-trip-count
- *  per-lane loops with the arena lane strides baked in. */
+ *  per-lane loops with the arena lane strides baked in.  `at` spells
+ *  each operand in the arena or as a chunk-local block. */
 void
 emitInstr(std::ostream &os, const tape::Instr &in,
-          const std::vector<tape::MemState> &mems, unsigned L)
+          const std::vector<tape::MemState> &mems, unsigned L,
+          const Placement &at)
 {
     using tape::Op;
     const std::string T = "<" + std::to_string(L) + ">";
     const std::string Lu = std::to_string(L) + "u";
     const std::string FOR =
         "for (unsigned l = 0; l < " + Lu + "; ++l) ";
-    const std::string d = ptr(in.dst);
-    const std::string a = ptr(in.a);
-    const std::string b = ptr(in.b);
+    const std::string d = at.ptr(in.dst);
+    const std::string a = at.ptr(in.a);
+    const std::string b = at.ptr(in.b);
     const std::string mask = hexU64(in.mask);
     const std::string W = std::to_string(in.width) + "u";
     const std::string AW = std::to_string(in.aw) + "u";
@@ -361,15 +402,15 @@ emitInstr(std::ostream &os, const tape::Instr &in,
            << ", " << Lu << ");";
         break;
       case Op::NShl:
-        os << FOR << "{ u64 amt = " << shiftAmountLane(in) << "; "
-           << laneSlot(in.dst, 1) << " = amt >= " << in.width
-           << "ull ? 0 : (" << laneSlot(in.a, 1) << " << amt) & "
+        os << FOR << "{ u64 amt = " << shiftAmountLane(in, at) << "; "
+           << at.laneSlot(in.dst, 1) << " = amt >= " << in.width
+           << "ull ? 0 : (" << at.laneSlot(in.a, 1) << " << amt) & "
            << mask << "; }";
         break;
       case Op::NLshr:
-        os << FOR << "{ u64 amt = " << shiftAmountLane(in) << "; "
-           << laneSlot(in.dst, 1) << " = amt >= " << in.width
-           << "ull ? 0 : " << laneSlot(in.a, 1) << " >> amt; }";
+        os << FOR << "{ u64 amt = " << shiftAmountLane(in, at) << "; "
+           << at.laneSlot(in.dst, 1) << " = amt >= " << in.width
+           << "ull ? 0 : " << at.laneSlot(in.a, 1) << " >> amt; }";
         break;
       case Op::NEq:
         os << "lo::eqN" << T << "(" << d << ", " << a << ", " << b
@@ -386,7 +427,7 @@ emitInstr(std::ostream &os, const tape::Instr &in,
         break;
       case Op::NMux:
         os << "lo::muxN" << T << "(" << d << ", " << a << ", " << b
-           << ", " << ptr(in.c) << ", " << Lu << ");";
+           << ", " << at.ptr(in.c) << ", " << Lu << ");";
         break;
       case Op::NSlice:
         os << "lo::sliceN" << T << "(" << d << ", " << a << ", "
@@ -422,8 +463,8 @@ emitInstr(std::ostream &os, const tape::Instr &in,
         break;
       case Op::NMemRead: {
         const uint32_t as = lo::nlimbs(in.aw);
-        os << FOR << laneSlot(in.dst, 1) << " = M[" << in.lo << "][("
-           << laneSlot(in.a, as) << " % " << mems[in.lo].depth
+        os << FOR << at.laneSlot(in.dst, 1) << " = M[" << in.lo << "][("
+           << at.laneSlot(in.a, as) << " % " << mems[in.lo].depth
            << "ull) * " << Lu << " + l];";
         break;
       }
@@ -440,23 +481,23 @@ emitInstr(std::ostream &os, const tape::Instr &in,
                          : in.op == Op::WAnd ? "bitAnd"
                          : in.op == Op::WOr  ? "bitOr"
                                              : "bitXor";
-        os << FOR << "lo::" << fn << "(" << lanePtr(in.dst, s) << ", "
-           << lanePtr(in.a, s) << ", " << lanePtr(in.b, s) << ", " << W
+        os << FOR << "lo::" << fn << "(" << at.lanePtr(in.dst, s) << ", "
+           << at.lanePtr(in.a, s) << ", " << at.lanePtr(in.b, s) << ", " << W
            << ");";
         break;
       }
       case Op::WNot: {
         const uint32_t s = lo::nlimbs(in.width);
-        os << FOR << "lo::bitNot(" << lanePtr(in.dst, s) << ", "
-           << lanePtr(in.a, s) << ", " << W << ");";
+        os << FOR << "lo::bitNot(" << at.lanePtr(in.dst, s) << ", "
+           << at.lanePtr(in.a, s) << ", " << W << ");";
         break;
       }
       case Op::WShl:
       case Op::WLshr: {
         const uint32_t s = lo::nlimbs(in.width);
         os << FOR << "lo::" << (in.op == Op::WShl ? "shl" : "lshr")
-           << "(" << lanePtr(in.dst, s) << ", " << lanePtr(in.a, s)
-           << ", " << shiftAmountLane(in) << ", " << W << ");";
+           << "(" << at.lanePtr(in.dst, s) << ", " << at.lanePtr(in.a, s)
+           << ", " << shiftAmountLane(in, at) << ", " << W << ");";
         break;
       }
       case Op::WEq:
@@ -466,24 +507,24 @@ emitInstr(std::ostream &os, const tape::Instr &in,
         const char *fn = in.op == Op::WEq    ? "eq"
                          : in.op == Op::WUlt ? "ult"
                                              : "slt";
-        os << FOR << laneSlot(in.dst, 1) << " = lo::" << fn << "("
-           << lanePtr(in.a, s) << ", " << lanePtr(in.b, s) << ", "
+        os << FOR << at.laneSlot(in.dst, 1) << " = lo::" << fn << "("
+           << at.lanePtr(in.a, s) << ", " << at.lanePtr(in.b, s) << ", "
            << AW << ");";
         break;
       }
       case Op::WMux: {
         const uint32_t ss = lo::nlimbs(in.aw);
         const uint32_t s = lo::nlimbs(in.width);
-        os << FOR << "lo::copy(" << lanePtr(in.dst, s) << ", "
-           << laneSlot(in.a, ss) << " ? " << lanePtr(in.b, s) << " : "
-           << lanePtr(in.c, s) << ", " << s << "u);";
+        os << FOR << "lo::copy(" << at.lanePtr(in.dst, s) << ", "
+           << at.laneSlot(in.a, ss) << " ? " << at.lanePtr(in.b, s) << " : "
+           << at.lanePtr(in.c, s) << ", " << s << "u);";
         break;
       }
       case Op::WSlice: {
         const uint32_t as = lo::nlimbs(in.aw);
         const uint32_t s = lo::nlimbs(in.width);
-        os << FOR << "lo::slice(" << lanePtr(in.dst, s) << ", "
-           << lanePtr(in.a, as) << ", " << AW << ", " << in.lo
+        os << FOR << "lo::slice(" << at.lanePtr(in.dst, s) << ", "
+           << at.lanePtr(in.a, as) << ", " << AW << ", " << in.lo
            << "u, " << W << ");";
         break;
       }
@@ -491,8 +532,8 @@ emitInstr(std::ostream &os, const tape::Instr &in,
         const uint32_t as = lo::nlimbs(in.aw);
         const uint32_t bs = lo::nlimbs(in.bw);
         const uint32_t s = lo::nlimbs(in.width);
-        os << FOR << "lo::concat(" << lanePtr(in.dst, s) << ", "
-           << lanePtr(in.a, as) << ", " << lanePtr(in.b, bs) << ", "
+        os << FOR << "lo::concat(" << at.lanePtr(in.dst, s) << ", "
+           << at.lanePtr(in.a, as) << ", " << at.lanePtr(in.b, bs) << ", "
            << AW << ", " << BW << ");";
         break;
       }
@@ -502,7 +543,7 @@ emitInstr(std::ostream &os, const tape::Instr &in,
         const uint32_t s = lo::nlimbs(in.width);
         os << FOR << "lo::"
            << (in.op == Op::WZExt ? "zext" : "sext") << "("
-           << lanePtr(in.dst, s) << ", " << lanePtr(in.a, as) << ", "
+           << at.lanePtr(in.dst, s) << ", " << at.lanePtr(in.a, as) << ", "
            << W << ", " << AW << ");";
         break;
       }
@@ -513,15 +554,15 @@ emitInstr(std::ostream &os, const tape::Instr &in,
         const char *fn = in.op == Op::WRedOr    ? "reduceOr"
                          : in.op == Op::WRedAnd ? "reduceAnd"
                                                 : "reduceXor";
-        os << FOR << laneSlot(in.dst, 1) << " = lo::" << fn << "("
-           << lanePtr(in.a, as) << ", " << AW << ");";
+        os << FOR << at.laneSlot(in.dst, 1) << " = lo::" << fn << "("
+           << at.lanePtr(in.a, as) << ", " << AW << ");";
         break;
       }
       case Op::WMemRead: {
         const uint32_t as = lo::nlimbs(in.aw);
         const tape::MemState &m = mems[in.lo];
-        os << FOR << "lo::copy(" << lanePtr(in.dst, m.wordLimbs)
-           << ", M[" << in.lo << "] + ((" << laneSlot(in.a, as)
+        os << FOR << "lo::copy(" << at.lanePtr(in.dst, m.wordLimbs)
+           << ", M[" << in.lo << "] + ((" << at.laneSlot(in.a, as)
            << " % " << m.depth << "ull) * " << Lu << " + l) * "
            << m.wordLimbs << "u, " << m.wordLimbs << "u);";
         break;
@@ -535,7 +576,9 @@ emitInstr(std::ostream &os, const tape::Instr &in,
 // ---------------------------------------------------------------------------
 
 /** What to emit: a tape slice, its memory geometry, the compile-time
- *  lane count and the exported entry-point name. */
+ *  lane count, the exported entry-point name, and the slots of the
+ *  tape's results that the evaluator's step reads outside the tape
+ *  (CompiledEvaluator::liveOutSlots; any order, repeats allowed). */
 struct EmitSpec
 {
     const tape::Instr *instrs;
@@ -543,15 +586,95 @@ struct EmitSpec
     const std::vector<tape::MemState> *mems;
     unsigned lanes;
     std::string entry;
+    std::vector<uint32_t> liveOut;
 };
+
+/** How many of the operand slots a, b, c an instruction reads. */
+unsigned
+operandCount(tape::Op op)
+{
+    using tape::Op;
+    switch (op) {
+      case Op::NMux:
+      case Op::WMux:
+        return 3;
+      case Op::NNot:
+      case Op::NSlice:
+      case Op::NZExt:
+      case Op::NSExt:
+      case Op::NRedOr:
+      case Op::NRedAnd:
+      case Op::NRedXor:
+      case Op::NMemRead:
+      case Op::WNot:
+      case Op::WSlice:
+      case Op::WZExt:
+      case Op::WSExt:
+      case Op::WRedOr:
+      case Op::WRedAnd:
+      case Op::WRedXor:
+      case Op::WMemRead:
+        return 1;
+      default:
+        return 2;
+    }
+}
+
+/** Place spec's results (see Placement): a result is chunk-local when
+ *  one statement writes it, only later statements of the same chunk
+ *  read it, and the step does not read it. */
+Placement
+placeResults(const EmitSpec &spec)
+{
+    struct Def
+    {
+        size_t chunk, at;
+        bool local;
+    };
+    std::unordered_map<uint32_t, Def> defs;
+    defs.reserve(spec.count);
+    const size_t chunks = aotChunkCount(spec.count);
+    for (size_t c = 0; c < chunks; ++c)
+        for (size_t i = aotChunkBegin(spec.count, c);
+             i < aotChunkBegin(spec.count, c + 1); ++i) {
+            auto [it, fresh] =
+                defs.try_emplace(spec.instrs[i].dst, Def{c, i, true});
+            it->second.local = fresh;
+        }
+    for (uint32_t slot : spec.liveOut) {
+        auto it = defs.find(slot);
+        if (it != defs.end())
+            it->second.local = false;
+    }
+    for (size_t c = 0; c < chunks; ++c)
+        for (size_t i = aotChunkBegin(spec.count, c);
+             i < aotChunkBegin(spec.count, c + 1); ++i) {
+            const tape::Instr &in = spec.instrs[i];
+            const uint32_t operands[] = {in.a, in.b, in.c};
+            for (unsigned k = 0; k < operandCount(in.op); ++k) {
+                auto it = defs.find(operands[k]);
+                if (it != defs.end() &&
+                    (it->second.chunk != c || it->second.at >= i))
+                    it->second.local = false;
+            }
+        }
+    std::vector<uint32_t> locals;
+    for (const auto &[slot, def] : defs)
+        if (def.local)
+            locals.push_back(slot);
+    std::sort(locals.begin(), locals.end());
+    return Placement(std::move(locals));
+}
 
 const char *
 emitHeader()
 {
     return "// Generated by manticore netlist.aot: the lowered flat\n"
            "// tape as straight-line C++, one statement per tape op,\n"
-           "// arena offsets / widths / masks baked in.  Do not edit;\n"
-           "// keyed by the manticore_aot_key definition at the end.\n"
+           "// arena offsets / widths / masks baked in; results read\n"
+           "// only within their chunk live in its t<slot> locals.\n"
+           "// Do not edit; keyed by the manticore_aot_key definition\n"
+           "// at the end.\n"
            "#include <cstdint>\n"
            "#include \"support/limbops.hh\"\n"
            "\n"
@@ -560,22 +683,32 @@ emitHeader()
            "\n";
 }
 
-/** The statements of chunk `c` (see aotChunkBegin). */
+/** The body of chunk `c` (see aotChunkBegin): one declaration line per
+ *  chunk-local block, then the statements. */
 void
-emitChunkBody(std::ostream &os, const EmitSpec &spec, size_t c)
+emitChunkBody(std::ostream &os, const EmitSpec &spec, const Placement &at,
+              size_t c)
 {
+    const size_t begin = aotChunkBegin(spec.count, c);
     const size_t end = aotChunkBegin(spec.count, c + 1);
-    for (size_t i = aotChunkBegin(spec.count, c); i < end; ++i)
-        emitInstr(os, spec.instrs[i], *spec.mems, spec.lanes);
+    for (size_t i = begin; i < end; ++i) {
+        const tape::Instr &in = spec.instrs[i];
+        if (at.local(in.dst))
+            os << "    u64 t" << in.dst << "["
+               << lo::nlimbs(in.width) * spec.lanes << "];\n";
+    }
+    for (size_t i = begin; i < end; ++i)
+        emitInstr(os, spec.instrs[i], *spec.mems, spec.lanes, at);
 }
 
 /** The whole tape as one translation unit (one static function per
  *  chunk, so the host compiler's per-function work stays bounded).
  *  Also the canonical source the cache key hashes, whether or not
  *  the build is split into chunk TUs: it encodes the chunk
- *  boundaries, so a change of the chunking rule moves every key. */
+ *  boundaries and the placement, so a change of either rule moves
+ *  every key. */
 std::string
-emitUnit(const EmitSpec &spec)
+emitUnit(const EmitSpec &spec, const Placement &at)
 {
     std::ostringstream os;
     os << emitHeader();
@@ -584,7 +717,7 @@ emitUnit(const EmitSpec &spec)
         os << "static void cycle_chunk" << c
            << "(u64 *A, const u64 *const *M)\n{\n"
               "    (void)A; (void)M;\n";
-        emitChunkBody(os, spec, c);
+        emitChunkBody(os, spec, at, c);
         os << "}\n\n";
     }
     os << "extern \"C\" void " << spec.entry
@@ -600,14 +733,14 @@ emitUnit(const EmitSpec &spec)
 /** One chunk as its own translation unit (exported with a _chunk<c>
  *  suffix so the driver TU can call it across TU boundaries). */
 std::string
-emitChunkTU(const EmitSpec &spec, size_t c)
+emitChunkTU(const EmitSpec &spec, const Placement &at, size_t c)
 {
     std::ostringstream os;
     os << emitHeader();
     os << "extern \"C\" void " << spec.entry << "_chunk" << c
        << "(u64 *A, const u64 *const *M)\n{\n"
           "    (void)A; (void)M;\n";
-    emitChunkBody(os, spec, c);
+    emitChunkBody(os, spec, at, c);
     os << "}\n";
     return os.str();
 }
@@ -795,7 +928,8 @@ buildObjects(const char *engine, const std::vector<EmitSpec> &specs,
         const EmitSpec &spec = specs[i];
         AotObject &object = objects[i];
         const std::vector<std::string> flags = objectFlags(tc, spec.lanes);
-        const std::string source = emitUnit(spec);
+        const Placement at = placeResults(spec);
+        const std::string source = emitUnit(spec, at);
         object.key = objectKey(source, flags, tc);
         const std::string stem = dir + "/manticore-aot-" + object.key;
         const std::string path = stem + ".so";
@@ -824,7 +958,7 @@ buildObjects(const char *engine, const std::vector<EmitSpec> &specs,
                 const std::string obj =
                     c.tmp + "." + std::to_string(k) + ".o";
                 compiles.push_back(
-                    {cold.size(), src, emitChunkTU(spec, k),
+                    {cold.size(), src, emitChunkTU(spec, at, k),
                      compileArgv(tc, flags, {"-c", src, "-o", obj})});
                 c.chunkObjects.push_back(obj);
                 link.push_back(obj);
@@ -959,15 +1093,16 @@ AotEvaluator::AotEvaluator(Netlist netlist, const EvalOptions &options)
     _compilerRuns = buildObjects(
         "netlist.aot",
         {{_tape.data(), _tape.size(), &_mems, _padded,
-          "manticore_aot_cycle"}},
+          "manticore_aot_cycle", liveOutSlots()}},
         options, &_object);
 }
 
 std::string
 AotEvaluator::emitSource() const
 {
-    return emitUnit({_tape.data(), _tape.size(), &_mems, _padded,
-                     "manticore_aot_cycle"});
+    const EmitSpec spec{_tape.data(), _tape.size(), &_mems, _padded,
+                        "manticore_aot_cycle", liveOutSlots()};
+    return emitUnit(spec, placeResults(spec));
 }
 
 void
@@ -1009,7 +1144,8 @@ AotParallelEvaluator::AotParallelEvaluator(Netlist netlist,
                          _padded,
                          serial() ? "manticore_aot_cycle"
                                   : "manticore_aot_cycle_p" +
-                                        std::to_string(p)});
+                                        std::to_string(p),
+                         procLiveOutSlots(p)});
     _objects.resize(specs.size());
     _compilerRuns = buildObjects("netlist.parallel.aot", specs, options,
                                  _objects.data());

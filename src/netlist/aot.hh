@@ -38,6 +38,23 @@
  * so AOT ensembles vectorize instead of falling back to a scalar
  * loop.
  *
+ * **Static placement.**  Like the paper's compiler, the emitter
+ * decides where every value lives.  Only what leaves a chunk function
+ * goes to the arena: a result the step reads after the tape (the
+ * evaluator's liveOutSlots(): the next block, send sources,
+ * memory-write and effect operands) or a later chunk reads.  Every
+ * other result — 75-97% of a catalog design's tape — is a block
+ * declared in its chunk function, `u64 t<slot>[limbs x L]`, with the
+ * arena block's lane stride, which the host compiler keeps in
+ * registers:
+ *
+ *     u64 t7[2];
+ *     for (unsigned l = 0; l < 1u; ++l) lo::zext(t7 + l * 2u, ...);
+ *
+ * Only the operand spelling changes; constants, inputs and registers
+ * stay arena reads, so one object still serves netlists that differ
+ * only in constants.
+ *
  * **Per-partition objects.**  AotParallelEvaluator extends the
  * partition-parallel engine the same way: each partition's tape is
  * emitted as its own object exposing
@@ -53,7 +70,10 @@
  * picks one process the engine is the serial one, and its object is
  * netlist.aot's: the serial tape emitted as manticore_aot_cycle at the
  * same lane width, dispatched behind evalCycle().  The two engines
- * then have one cache key and share one cached object.
+ * then have one cache key and share one cached object.  A partition
+ * object keeps in the arena what its process sends, what its memory
+ * writes read and, on process 0, what the effects read
+ * (ParallelCompiledEvaluator::procLiveOutSlots).
  *
  * **One builder.**  Both engines build their objects through the
  * same path: emit an object's canonical unit, hash it into a key,
@@ -163,11 +183,13 @@ std::string aotResolveCacheDir(const EvalOptions &options);
 const std::string &aotHostCpuModel();
 
 /** The AOT compile unit, in statements (one per tape instruction).
- *  GCC -O2's cost grows faster than linearly with the size of the
- *  emitted store-per-statement functions, while a translation unit's
- *  fixed cost (process start plus limbops.hh) is ~35 ms, so small
- *  chunks compiled concurrently build a large tape fastest: on a
- *  4-thread host a cold build of mm, rv32r, cgra, mc and jpeg at
+ *  It also bounds a chunk-local result's reach: a value a later chunk
+ *  reads goes through the arena.  GCC -O2's cost grows faster than
+ *  linearly with the size of the emitted functions, while a
+ *  translation unit's fixed cost (process start plus limbops.hh) is
+ *  ~35 ms, so small chunks compiled concurrently build a large tape
+ *  fastest: on a 4-thread host, with every result still stored to
+ *  the arena, a cold build of mm, rv32r, cgra, mc and jpeg at
  *  aotJobs=4 took ~2x less time at 256 than at 1024, 192 and 128
  *  were no faster, and 128 cost cgra a quarter of its AOT rate. */
 constexpr size_t kAotChunk = 256;
@@ -264,12 +286,19 @@ class AotParallelEvaluator : public ParallelCompiledEvaluator
     /** The Vcycle's fixed sync cost with compiled partitions, in
      *  partition cost units at one lane (see
      *  ParallelCompiledEvaluator::kTapeSyncCost): a weight unit costs
-     *  ~4-5x less time compiled than interpreted while the barrier
-     *  costs the same, so the same sync is worth ~4-5x the units.
-     *  Calibrated by bench_parallel_evaluator like the tape's, in the
-     *  same three runs: the median of 661, 617 and 1236 units
-     *  (~0.8-1.1 ns per unit, 0.7-1.0 us of sync). */
-    static constexpr size_t kAotSyncCost = 661;
+     *  ~7-8x less time compiled than interpreted while the barrier
+     *  costs the same, so the same sync is worth ~7-8x the units.
+     *  Since the step runs one process as the serial engine, the fit
+     *  prices everything the Vcycle adds to the serial step.
+     *  Calibrated by bench_parallel_evaluator once objects kept
+     *  chunk-local values out of the arena (which made a unit
+     *  cheaper): the median of three fits, 2056, 2349 and 3141 units
+     *  (0.29-0.37 ns per unit, 0.68-0.92 us of sync), on an
+     *  "Intel(R) Xeon(R) Processor" with 4 hardware threads.  It
+     *  exceeds the break-even sync of every catalog design at 3
+     *  threads (mm's is the highest, 1702), so there every AOT
+     *  design runs one process. */
+    static constexpr size_t kAotSyncCost = 2349;
 
     explicit AotParallelEvaluator(Netlist netlist,
                                   const EvalOptions &options = {});

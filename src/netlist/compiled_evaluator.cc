@@ -442,13 +442,15 @@ CompiledEvaluator::memValueLane(unsigned lane, MemId id,
     return _mems[id].value(addr, lane);
 }
 
-BitVector
-CompiledEvaluator::nodeValue(NodeId id, unsigned lane) const
+std::vector<uint32_t>
+CompiledEvaluator::liveOutSlots() const
 {
-    // _slotOf is empty when a subclass runs its own executor.
-    MANTICORE_ASSERT(id < _slotOf.size() && lane < _lanes,
-                     "bad node id / lane");
-    return _arena.read(_slotOf[id], _netlist.node(id).width, lane);
+    std::vector<uint32_t> slots = _effects.operandSlots();
+    for (const RegCommit &rc : _regCommits)
+        slots.push_back(rc.dst + _regSpan);
+    for (const MemCommit &w : _memCommits)
+        slots.insert(slots.end(), {w.addr, w.data, w.enable});
+    return slots;
 }
 
 // ---- checkpoint/restore hooks (see EvaluatorBase::saveLaneState) ----

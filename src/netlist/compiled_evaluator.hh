@@ -96,17 +96,6 @@ class CompiledEvaluator : public EvaluatorBase
     BitVector memValueLane(unsigned lane, MemId id,
                            uint64_t addr) const override;
 
-    /** Debug accessor: the node's current arena slot contents for one
-     *  lane.  For combinational nodes this is the value of the last
-     *  completed step, like Evaluator::nodeValue; but because RegRead
-     *  slots double as register storage (and Input slots are written
-     *  by setInput directly), those two kinds reflect the
-     *  *post-commit* / latest-driven value rather than the pre-commit
-     *  snapshot the reference evaluator keeps.  Use regValue() for
-     *  committed register state — it is identical across both
-     *  engines. */
-    BitVector nodeValue(NodeId id, unsigned lane = 0) const;
-
     const std::vector<std::string> &displayLog() const override
     {
         return _lane[0].displayLog;
@@ -157,6 +146,14 @@ class CompiledEvaluator : public EvaluatorBase
      *  stay in this class so an executor swap cannot drift
      *  semantically. */
     virtual void evalCycle();
+
+    /** The tape results the step reads after evalCycle(): the next
+     *  block (the register commit), the memory-write operands and the
+     *  effect operands, as lane-0 slots in no particular order.  An
+     *  executor must leave these in the arena; any other result is
+     *  the tape's own (AotEvaluator keeps chunk-local ones out of the
+     *  arena). */
+    std::vector<uint32_t> liveOutSlots() const;
 
     /** One register, for the per-lane commit of commitLane(); its
      *  next value sits at dst + _regSpan. */

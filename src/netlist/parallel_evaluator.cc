@@ -495,6 +495,22 @@ ParallelCompiledEvaluator::regValueLane(unsigned lane, RegId id) const
     return _bank[0].read(_regSlot[id], _netlist.reg(id).width, lane);
 }
 
+std::vector<uint32_t>
+ParallelCompiledEvaluator::procLiveOutSlots(size_t p) const
+{
+    if (serial())
+        return liveOutSlots();
+    // The effects are resolved against process 0's region.
+    std::vector<uint32_t> slots;
+    if (p == 0)
+        slots = _effects.operandSlots();
+    for (const RegCommit &rc : _procs[p].regCommits)
+        slots.push_back(rc.src);
+    for (const MemCommit &w : _procs[p].memCommits)
+        slots.insert(slots.end(), {w.addr, w.data, w.enable});
+    return slots;
+}
+
 size_t
 ParallelCompiledEvaluator::tapeLength() const
 {

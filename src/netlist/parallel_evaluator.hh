@@ -182,6 +182,11 @@ class ParallelCompiledEvaluator : public CompiledEvaluator
     {
         return serial() ? _tape : _procs[p].tape;
     }
+    /** Process p's liveOutSlots(): the results of its tape the Vcycle
+     *  reads after computeTape() — its send sources, its memory-write
+     *  operands and, on process 0, the effect operands (one process:
+     *  the serial engine's). */
+    std::vector<uint32_t> procLiveOutSlots(size_t p) const;
 
   private:
     /** Pre-barrier copy of a shared (RegRead) memory-write operand

@@ -196,6 +196,21 @@ struct Effects
         return false;
     }
 
+    /** Every slot firing reads (enables, conditions, display
+     *  arguments), in no particular order and possibly repeated. */
+    std::vector<uint32_t>
+    operandSlots() const
+    {
+        std::vector<uint32_t> slots = finishes;
+        for (const EffAssert &a : asserts)
+            slots.insert(slots.end(), {a.enable, a.cond});
+        for (const EffDisplay &d : displays) {
+            slots.push_back(d.enable);
+            slots.insert(slots.end(), d.argSlots.begin(), d.argSlots.end());
+        }
+        return slots;
+    }
+
     /** Collect the netlist's asserts/displays/finishes, resolving
      *  node ids to arena slots through `slot`. */
     static Effects compile(const Netlist &netlist,

@@ -18,6 +18,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cctype>
 #include <cstdio>
 #include <filesystem>
 #include <memory>
@@ -152,13 +153,23 @@ designOfTapeLength(size_t statements)
     return nl;
 }
 
-/** Statements per chunk function of an emitted canonical unit: one
- *  line per statement between a cycle_chunk<c> header's
- *  "(void)A; (void)M;" line and its closing brace. */
-std::vector<size_t>
-emittedChunkSizes(const std::string &src)
+/** One chunk function of an emitted canonical unit. */
+struct EmittedChunk
 {
-    std::vector<size_t> sizes;
+    /// One line per statement between a cycle_chunk<c> header's
+    /// "(void)A; (void)M;" line and its closing brace, after the
+    /// chunk-local declarations.
+    size_t statements = 0;
+    /// The chunk-local blocks it declares ("t<slot>").
+    std::vector<std::string> locals;
+    /// Its lines, header to closing brace.
+    std::string text;
+};
+
+std::vector<EmittedChunk>
+emittedChunks(const std::string &src)
+{
+    std::vector<EmittedChunk> chunks;
     bool in_chunk = false;
     size_t start = 0;
     while (start < src.size()) {
@@ -169,15 +180,42 @@ emittedChunkSizes(const std::string &src)
         start = end + 1;
         if (line.rfind("static void cycle_chunk", 0) == 0) {
             in_chunk = true;
-            sizes.push_back(0);
-        } else if (in_chunk && line == "}") {
+            chunks.emplace_back();
+        }
+        if (!in_chunk)
+            continue;
+        EmittedChunk &chunk = chunks.back();
+        chunk.text += line + "\n";
+        if (line == "}") {
             in_chunk = false;
-        } else if (in_chunk && line.rfind("    ", 0) == 0 &&
+        } else if (line.rfind("    u64 t", 0) == 0) {
+            const size_t name = line.find('t');
+            chunk.locals.push_back(
+                line.substr(name, line.find('[') - name));
+        } else if (line.rfind("    ", 0) == 0 &&
                    line.find("(void)A") == std::string::npos) {
-            ++sizes.back();
+            ++chunk.statements;
         }
     }
-    return sizes;
+    return chunks;
+}
+
+/** True when `text` names the identifier `name` (not as part of a
+ *  longer one). */
+bool
+namesIdentifier(const std::string &text, const std::string &name)
+{
+    auto ident = [](char ch) {
+        return std::isalnum(static_cast<unsigned char>(ch)) || ch == '_';
+    };
+    for (size_t at = text.find(name); at != std::string::npos;
+         at = text.find(name, at + 1)) {
+        const size_t after = at + name.size();
+        if ((at == 0 || !ident(text[at - 1])) &&
+            (after == text.size() || !ident(text[after])))
+            return true;
+    }
+    return false;
 }
 
 /** True when `flags` is `candidates` with some entries left out. */
@@ -380,9 +418,13 @@ TEST(AotCache, ConcurrentColdBuildsOfOneObjectAllLoad)
     EXPECT_EQ(concurrentFallbacks<AotEvaluator>(chunkedDesign(), options),
               0u);
 
+    // Per-partition objects too: LPT splits the design, so every
+    // thread builds the manticore_aot_cycle_p<K> objects at once.
     EvalOptions par = aotOptions(freshCacheDir("race-parallel"));
     par.aotJobs = 1;
     par.numThreads = 2;
+    par.mergeAlgo = MergeAlgo::Lpt;
+    ASSERT_GE(netlist::ParallelCompiledEvaluator(nl, par).numProcesses(), 2u);
     EXPECT_EQ(concurrentFallbacks<netlist::AotParallelEvaluator>(nl, par),
               0u);
 }
@@ -468,14 +510,29 @@ TEST(AotChunking, EmittedChunksFollowTheRule)
         EvalOptions options = aotOptions(freshCacheDir("emit-chunks"));
         options.aotCompiler = "/nonexistent/manticore-bogus-c++";
         AotEvaluator eval(designOfTapeLength(len), options);
-        std::vector<size_t> sizes = emittedChunkSizes(eval.emitSource());
-        ASSERT_EQ(sizes.size(), netlist::aotChunkCount(len));
-        for (size_t c = 0; c < sizes.size(); ++c)
-            EXPECT_EQ(sizes[c], netlist::aotChunkBegin(len, c + 1) -
-                                    netlist::aotChunkBegin(len, c))
-                << "chunk " << c;
-        auto [lo, hi] = std::minmax_element(sizes.begin(), sizes.end());
-        EXPECT_LE(*hi - *lo, 1u);
+        const std::string src = eval.emitSource();
+        const std::vector<EmittedChunk> chunks = emittedChunks(src);
+        ASSERT_EQ(chunks.size(), netlist::aotChunkCount(len));
+        size_t lo = len, hi = 0;
+        for (size_t c = 0; c < chunks.size(); ++c) {
+            SCOPED_TRACE("chunk " + std::to_string(c));
+            const size_t size = chunks[c].statements;
+            EXPECT_EQ(size, netlist::aotChunkBegin(len, c + 1) -
+                                netlist::aotChunkBegin(len, c));
+            lo = std::min(lo, size);
+            hi = std::max(hi, size);
+            // The add chain's links within a chunk live in its locals;
+            // only the link into the next chunk and the register's
+            // next value go through the arena.
+            EXPECT_FALSE(chunks[c].locals.empty());
+            std::string outside = src;
+            outside.erase(outside.find(chunks[c].text),
+                          chunks[c].text.size());
+            for (const std::string &local : chunks[c].locals)
+                EXPECT_FALSE(namesIdentifier(outside, local))
+                    << local << " is named outside its chunk";
+        }
+        EXPECT_LE(hi - lo, 1u);
     }
 }
 

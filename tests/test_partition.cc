@@ -344,6 +344,13 @@ TEST(NetlistPartition, SyncCostPicksOneProcessWhereTheBarrierDominates)
     // as netlist.parallel.processes.{mm,mc}.
     EXPECT_EQ(processesAtThree("mm", tape), 3u);
     EXPECT_EQ(processesAtThree("mc", tape), 3u);
+    // With chunk-local values a compiled partition's units are cheap
+    // enough that no design's split beats its one process: mm's break-
+    // even sync is the highest, and the fitted AOT sync exceeds it.
+    for (const char *design : {"mm", "mc", "rv32r", "noc", "cgra", "bc"}) {
+        SCOPED_TRACE(design);
+        EXPECT_EQ(processesAtThree(design, aot), 1u);
+    }
 }
 
 TEST(NetlistPartition, SyncCostNeverRaisesThePredictedVcycle)
